@@ -915,7 +915,7 @@ fn run_explain_target(opts: Options, args: &[String]) -> String {
                 return out;
             };
             match recorder.find(id) {
-                Some(rec) => explain_txn(&mut out, rec),
+                Some(rec) => explain_txn(&mut out, recorder, rec),
                 None => {
                     let _ = writeln!(out, "transaction {id} is not in the recorder ring");
                 }
@@ -924,7 +924,7 @@ fn run_explain_target(opts: Options, args: &[String]) -> String {
         None => {
             let _ = writeln!(out, "\nslowest {top} transaction(s):");
             for rec in recorder.slowest(top) {
-                explain_txn(&mut out, rec);
+                explain_txn(&mut out, recorder, rec);
             }
         }
     }
@@ -934,7 +934,7 @@ fn run_explain_target(opts: Options, args: &[String]) -> String {
 
 /// One transaction's explanation: identity line, exact decomposition,
 /// and the causal hop chain across node/engine tracks.
-fn explain_txn(out: &mut String, rec: &ccn_obs::TxnRecord) {
+fn explain_txn(out: &mut String, recorder: &ccn_obs::FlightRecorder, rec: &ccn_obs::TxnRecord) {
     let latency = rec.latency();
     let _ = writeln!(
         out,
@@ -961,7 +961,7 @@ fn explain_txn(out: &mut String, rec: &ccn_obs::TxnRecord) {
         parts.join(" + "),
         rec.components_sum()
     );
-    for hop in &rec.hops {
+    for hop in recorder.hops(rec) {
         let _ = writeln!(
             out,
             "    @{:<10} node{:<4} engine{}  {:<44} [{}] {} cycle(s)",

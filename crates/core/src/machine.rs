@@ -599,7 +599,7 @@ impl Machine {
     /// sums to its recorded miss latency. Strictly observational; call
     /// before [`run`](Machine::run).
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
-        self.flight = Some(FlightRecorder::new(capacity));
+        self.flight = Some(FlightRecorder::new(capacity, self.cfg.nprocs()));
     }
 
     /// The transaction flight recorder, if

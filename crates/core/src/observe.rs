@@ -60,7 +60,8 @@ impl Machine {
                 trace.add_flow(
                     id,
                     rec.id.to_string(),
-                    rec.hops
+                    recorder
+                        .hops(rec)
                         .iter()
                         .map(|h| (u64::from(h.at_node), u64::from(h.engine), h.time))
                         .collect(),

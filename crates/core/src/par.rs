@@ -576,10 +576,15 @@ fn execute(
         fn ctx_of(m: &Machine) -> &ShardCtx {
             m.queue.shard_ctx_ref().expect("shard machine")
         }
-        // Per-window scratch, hoisted so allocations are reused.
+        // Per-window scratch, hoisted so allocations are reused. The
+        // shards' trace and flight buffers visit `traces`/`flights` for
+        // the barrier merge and go back to their shards afterwards.
         let mut local: Vec<usize> = Vec::new();
         let mut sends: Vec<PendingSend> = Vec::new();
         let mut order: Vec<(ShardId, u32)> = Vec::new();
+        let mut traces: Vec<Vec<(u32, TraceEvent)>> = vec![Vec::new(); nshards];
+        let mut flights: Vec<Vec<(u32, ccn_obs::FlightEvent)>> = vec![Vec::new(); nshards];
+        let mut ptr: Vec<usize> = vec![0; nshards];
         loop {
             let w_start = machines
                 .iter()
@@ -729,9 +734,7 @@ fn execute(
             // Phase 3: window barrier — rank the window's executions,
             // merge traces, seal keys, deliver cross-shard work.
             let mut logs: Vec<Vec<LogRec<()>>> = Vec::with_capacity(nshards);
-            let mut traces: Vec<Vec<(u32, TraceEvent)>> = Vec::with_capacity(nshards);
-            let mut flights: Vec<Vec<(u32, ccn_obs::FlightEvent)>> = Vec::with_capacity(nshards);
-            for m in machines.iter_mut() {
+            for (s, m) in machines.iter_mut().enumerate() {
                 let ctx = m
                     .as_mut()
                     .expect("machine home")
@@ -740,8 +743,8 @@ fn execute(
                     .expect("shard machine");
                 logs.push(std::mem::take(&mut ctx.exec_log));
                 sends.append(&mut ctx.pending_sends);
-                traces.push(std::mem::take(&mut ctx.trace_log));
-                flights.push(std::mem::take(&mut ctx.flight_log));
+                traces[s] = std::mem::take(&mut ctx.trace_log);
+                flights[s] = std::mem::take(&mut ctx.flight_log);
             }
             executed += logs.iter().map(Vec::len).sum::<usize>() as u64;
             if executed > max_events {
@@ -761,7 +764,7 @@ fn execute(
                 merger.rank_only(end);
             }
             if let Some(ring) = &mut coord.trace {
-                let mut ptr = vec![0usize; nshards];
+                ptr.fill(0);
                 for &(s, xi) in &order {
                     let s = s as usize;
                     while ptr[s] < traces[s].len() && traces[s][ptr[s]].0 == xi {
@@ -780,7 +783,7 @@ fn execute(
                 // preserved, so the coordinator's recorder sees the exact
                 // sequential event stream (ids, ring drops and the
                 // measurement reset all land at their sequential spots).
-                let mut ptr = vec![0usize; nshards];
+                ptr.fill(0);
                 for &(s, xi) in &order {
                     let s = s as usize;
                     while ptr[s] < flights[s].len() && flights[s][ptr[s]].0 == xi {
@@ -860,16 +863,21 @@ fn execute(
                         merger.resolve(k)
                     });
             }
-            // Hand the log allocations back to the shards for reuse.
+            // Hand the log, trace and flight allocations back to the
+            // shards for reuse.
             for (s, mut log) in merger.into_logs().into_iter().enumerate() {
                 log.clear();
-                machines[s]
+                traces[s].clear();
+                flights[s].clear();
+                let ctx = machines[s]
                     .as_mut()
                     .expect("machine home")
                     .queue
                     .shard_ctx()
-                    .expect("shard machine")
-                    .exec_log = log;
+                    .expect("shard machine");
+                ctx.exec_log = log;
+                ctx.trace_log = std::mem::take(&mut traces[s]);
+                ctx.flight_log = std::mem::take(&mut flights[s]);
             }
         }
         for ring in &task_rings {

@@ -24,8 +24,8 @@
 //! `--jobs` counts, and `--threads N`.
 
 use ccn_harness::Json;
-use ccn_sim::Cycle;
-use std::collections::{HashMap, VecDeque};
+use ccn_sim::{Cycle, FxHashMap};
+use std::collections::VecDeque;
 
 /// Stable identity of one coherence transaction: the issuing processor's
 /// global index and a per-processor issue sequence number. Renders as
@@ -180,7 +180,10 @@ pub enum FlightEvent {
 }
 
 /// A completed transaction with its exact cycle decomposition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The record's handler hops live in the recorder's shared hop arena;
+/// read them with [`FlightRecorder::hops`].
+#[derive(Debug, Clone)]
 pub struct TxnRecord {
     /// Stable transaction id.
     pub id: TxnId,
@@ -197,8 +200,11 @@ pub struct TxnRecord {
     /// Cycles per category, indexed by [`Category::index`]. Sums exactly
     /// to [`latency`](TxnRecord::latency).
     pub components: [u64; 5],
-    /// Handler executions on behalf of this transaction, in event order.
-    pub hops: Vec<Hop>,
+    /// Arena position of the first hop: a running count of hop slots,
+    /// stored at index `hop_start % arena size`.
+    hop_start: u64,
+    /// Number of hops.
+    hop_len: u32,
 }
 
 impl TxnRecord {
@@ -214,6 +220,24 @@ impl TxnRecord {
     }
 }
 
+/// Filler for hop-arena positions that hold no retained hop.
+const NO_HOP: Hop = Hop {
+    time: 0,
+    at_node: 0,
+    engine: 0,
+    occupancy: 0,
+    handler: "",
+    phase: "",
+};
+
+/// Initial milestone and hop buffer sizes of a live-transaction slot:
+/// above what a typical miss records, so the buffers rarely grow, and
+/// once grown they keep their size for the slot's next transaction.
+const SLOT_MILESTONES: usize = 16;
+const SLOT_HOPS: usize = 8;
+
+/// One slot of the live-transaction slab. Its buffers are cleared and
+/// reused in place for the next transaction that takes the slot.
 #[derive(Debug)]
 struct LiveTxn {
     id: TxnId,
@@ -222,6 +246,18 @@ struct LiveTxn {
     /// `(category, milestone time)` in event order.
     milestones: Vec<(Category, Cycle)>,
     hops: Vec<Hop>,
+}
+
+impl LiveTxn {
+    fn empty() -> LiveTxn {
+        LiveTxn {
+            id: TxnId { proc: 0, seq: 0 },
+            op: "",
+            issue: 0,
+            milestones: Vec::with_capacity(SLOT_MILESTONES),
+            hops: Vec::with_capacity(SLOT_HOPS),
+        }
+    }
 }
 
 /// Machine-wide blame decomposition over the measured phase.
@@ -281,40 +317,63 @@ impl BlameSummary {
 
 /// The flight recorder: applies [`FlightEvent`]s and keeps completed
 /// transactions in a bounded ring plus incremental per-category totals.
+///
+/// Storage is flat so the steady state stays off the allocator:
+///
+/// - in-flight transactions sit in a slab of slots found through an
+///   `FxHashMap` keyed by `(node, line)`; a slot's milestone and hop
+///   buffers are reused in place. Each processor has at most one miss
+///   outstanding, so the map and slab are pre-sized to the processor
+///   count. They grow past it only for transactions that never
+///   complete (a fill that costs its processor no cycles records no
+///   completion), which hold their slot until their key is reused;
+/// - completed records sit in one ring, and their hops in a second ring,
+///   the hop arena, in completion order. A record's hops never straddle
+///   the arena's end (the arena skips to its start instead), so they read
+///   back as one slice. Both rings grow by doubling, and only while the
+///   retained records need more room.
 #[derive(Debug)]
 pub struct FlightRecorder {
     /// Next issue sequence number per processor.
-    next_seq: HashMap<u32, u32>,
-    /// In-flight transactions keyed by `(node, line)`.
-    live: HashMap<(u16, u64), LiveTxn>,
+    next_seq: Vec<u32>,
+    /// In-flight transactions: `(node, line)` to a slot in `slots`.
+    live: FxHashMap<(u16, u64), u32>,
+    slots: Vec<LiveTxn>,
+    /// Indices of the unused slots.
+    free: Vec<u32>,
     /// Completed transactions, oldest first.
     completed: VecDeque<TxnRecord>,
+    /// The hop arena: empty or a power of two long.
+    hops: Vec<Hop>,
+    /// Arena position one past the newest record's hops.
+    hop_end: u64,
     capacity: usize,
     dropped: u64,
     /// Completions since the last measurement reset.
     transactions: u64,
     total_cycles: u64,
     component_cycles: [u64; 5],
-    /// Recycled milestone buffers (the apply path reuses them so the
-    /// steady state stays off the allocator once warm).
-    milestone_pool: Vec<Vec<(Category, Cycle)>>,
-    hop_pool: Vec<Vec<Hop>>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining at most `capacity` completed transactions.
-    pub fn new(capacity: usize) -> FlightRecorder {
+    /// A recorder retaining at most `capacity` completed transactions,
+    /// with its live-transaction table sized for `nprocs` processors
+    /// (each has at most one miss outstanding). The completed ring is
+    /// not pre-allocated: it grows as transactions complete.
+    pub fn new(capacity: usize, nprocs: usize) -> FlightRecorder {
         FlightRecorder {
-            next_seq: HashMap::new(),
-            live: HashMap::new(),
-            completed: VecDeque::with_capacity(capacity.min(1 << 16)),
+            next_seq: vec![0; nprocs],
+            live: FxHashMap::with_capacity_and_hasher(nprocs, Default::default()),
+            slots: (0..nprocs).map(|_| LiveTxn::empty()).collect(),
+            free: (0..nprocs as u32).rev().collect(),
+            completed: VecDeque::new(),
+            hops: Vec::new(),
+            hop_end: 0,
             capacity,
             dropped: 0,
             transactions: 0,
             total_cycles: 0,
             component_cycles: [0; 5],
-            milestone_pool: Vec::new(),
-            hop_pool: Vec::new(),
         }
     }
 
@@ -328,19 +387,29 @@ impl FlightRecorder {
                 time,
                 op,
             } => {
-                let seq = self.next_seq.entry(proc).or_insert(0);
-                let id = TxnId { proc, seq: *seq };
-                *seq += 1;
-                let txn = LiveTxn {
-                    id,
-                    op,
-                    issue: time,
-                    milestones: self.milestone_pool.pop().unwrap_or_default(),
-                    hops: self.hop_pool.pop().unwrap_or_default(),
-                };
-                if let Some(stale) = self.live.insert((node, line), txn) {
-                    self.recycle(stale.milestones, stale.hops);
+                let p = proc as usize;
+                if p >= self.next_seq.len() {
+                    self.next_seq.resize(p + 1, 0);
                 }
+                let id = TxnId {
+                    proc,
+                    seq: self.next_seq[p],
+                };
+                self.next_seq[p] += 1;
+                // A Begin on a live key supersedes the stale transaction
+                // and takes over its slot.
+                let slot = *self.live.entry((node, line)).or_insert_with(|| {
+                    self.free.pop().unwrap_or_else(|| {
+                        self.slots.push(LiveTxn::empty());
+                        (self.slots.len() - 1) as u32
+                    })
+                });
+                let txn = &mut self.slots[slot as usize];
+                txn.id = id;
+                txn.op = op;
+                txn.issue = time;
+                txn.milestones.clear();
+                txn.hops.clear();
             }
             FlightEvent::Milestone {
                 node,
@@ -348,18 +417,19 @@ impl FlightRecorder {
                 time,
                 cat,
             } => {
-                if let Some(txn) = self.live.get_mut(&(node, line)) {
-                    txn.milestones.push((cat, time));
+                if let Some(&slot) = self.live.get(&(node, line)) {
+                    self.slots[slot as usize].milestones.push((cat, time));
                 }
             }
             FlightEvent::Hop { node, line, hop } => {
-                if let Some(txn) = self.live.get_mut(&(node, line)) {
-                    txn.hops.push(hop);
+                if let Some(&slot) = self.live.get(&(node, line)) {
+                    self.slots[slot as usize].hops.push(hop);
                 }
             }
             FlightEvent::Complete { node, line, time } => {
-                if let Some(txn) = self.live.remove(&(node, line)) {
-                    self.finish(node, line, time, txn);
+                if let Some(slot) = self.live.remove(&(node, line)) {
+                    self.finish(node, line, time, slot as usize);
+                    self.free.push(slot);
                 }
             }
             FlightEvent::MeasureReset => {
@@ -367,20 +437,16 @@ impl FlightRecorder {
                 self.total_cycles = 0;
                 self.component_cycles = [0; 5];
                 self.dropped = 0;
-                while let Some(rec) = self.completed.pop_front() {
-                    self.hop_pool.push({
-                        let mut h = rec.hops;
-                        h.clear();
-                        h
-                    });
-                }
+                // The arena's contents die with the records.
+                self.completed.clear();
             }
         }
     }
 
-    /// Telescopes the milestones into the exact decomposition and files
-    /// the completed record.
-    fn finish(&mut self, node: u16, line: u64, complete: Cycle, txn: LiveTxn) {
+    /// Telescopes the milestones of the transaction in `slot` into the
+    /// exact decomposition and files the completed record.
+    fn finish(&mut self, node: u16, line: u64, complete: Cycle, slot: usize) {
+        let txn = &self.slots[slot];
         debug_assert!(complete >= txn.issue, "fill before issue");
         let complete = complete.max(txn.issue);
         let mut components = [0u64; 5];
@@ -405,59 +471,81 @@ impl FlightRecorder {
         for (total, c) in self.component_cycles.iter_mut().zip(components) {
             *total += c;
         }
-        let LiveTxn {
-            id,
-            op,
-            issue,
-            milestones,
-            hops,
-        } = txn;
-        self.milestone_pool.push({
-            let mut m = milestones;
-            m.clear();
-            m
-        });
         if self.capacity == 0 {
             self.dropped += 1;
-            self.hop_pool.push({
-                let mut h = hops;
-                h.clear();
-                h
-            });
             return;
         }
         if self.completed.len() == self.capacity {
-            if let Some(old) = self.completed.pop_front() {
-                self.dropped += 1;
-                self.hop_pool.push({
-                    let mut h = old.hops;
-                    h.clear();
-                    h
-                });
-            }
+            self.completed.pop_front();
+            self.dropped += 1;
         }
+        let n = txn.hops.len();
+        let hop_start = self.reserve_hops(n as u64);
+        let txn = &self.slots[slot];
+        let at = self.arena_index(hop_start);
+        self.hops[at..at + n].copy_from_slice(&txn.hops);
         self.completed.push_back(TxnRecord {
-            id,
+            id: txn.id,
             node,
             line,
-            op,
-            issue,
+            op: txn.op,
+            issue: txn.issue,
             complete,
             components,
-            hops,
+            hop_start,
+            hop_len: n as u32,
         });
     }
 
-    fn recycle(&mut self, mut milestones: Vec<(Category, Cycle)>, mut hops: Vec<Hop>) {
-        milestones.clear();
-        hops.clear();
-        self.milestone_pool.push(milestones);
-        self.hop_pool.push(hops);
+    /// Reserves `n` arena positions for the next record's hops and
+    /// returns the first. Positions from the oldest retained record's
+    /// hops up to `hop_end` are in use; the new chain goes after them,
+    /// skipping to the arena's start rather than wrapping.
+    fn reserve_hops(&mut self, n: u64) -> u64 {
+        let oldest = self.completed.front().map_or(self.hop_end, |r| r.hop_start);
+        loop {
+            let size = self.hops.len() as u64;
+            let mut start = self.hop_end;
+            if size > 0 && self.arena_index(start) as u64 + n > size {
+                start = start.next_multiple_of(size);
+            }
+            if start + n - oldest <= size {
+                self.hop_end = start + n;
+                return start;
+            }
+            // Grow the arena in place. A position in use moves from index
+            // `pos % size` to `pos % grown`: the same index, or one in
+            // the new tail, which no other position in use occupies. A
+            // chain that did not wrap before does not wrap now.
+            let grown = (2 * size).max(n.next_power_of_two());
+            self.hops.resize(grown as usize, NO_HOP);
+            for pos in oldest..self.hop_end {
+                let (from, to) = ((pos % size) as usize, (pos % grown) as usize);
+                self.hops[to] = self.hops[from];
+            }
+        }
+    }
+
+    /// Index of arena position `pos`. An empty arena has only held
+    /// empty chains, all at position 0.
+    fn arena_index(&self, pos: u64) -> usize {
+        (pos & (self.hops.len() as u64).wrapping_sub(1)) as usize
     }
 
     /// Completed transactions retained in the ring, oldest first.
     pub fn completed(&self) -> impl Iterator<Item = &TxnRecord> {
         self.completed.iter()
+    }
+
+    /// The handler executions on behalf of `rec`, in event order.
+    ///
+    /// `rec` must be a record this recorder currently retains (from
+    /// [`completed`](FlightRecorder::completed),
+    /// [`find`](FlightRecorder::find) or
+    /// [`slowest`](FlightRecorder::slowest)).
+    pub fn hops(&self, rec: &TxnRecord) -> &[Hop] {
+        let at = self.arena_index(rec.hop_start);
+        &self.hops[at..at + rec.hop_len as usize]
     }
 
     /// How many completed records the bounded ring has discarded.
@@ -492,12 +580,12 @@ impl FlightRecorder {
         let mut tail_component_cycles = [0u64; 5];
         if !self.completed.is_empty() {
             let mut lat: Vec<u64> = self.completed.iter().map(|r| r.latency()).collect();
-            lat.sort_unstable();
             let n = lat.len();
             // Rank ceil(0.99 * n), 1-indexed: the latency at or above
-            // which a transaction is in the top 1%.
+            // which a transaction is in the top 1%. Selection finds the
+            // same rank a full sort would, in linear time.
             let rank = (n * 99).div_ceil(100).max(1);
-            let threshold = lat[rank - 1];
+            let threshold = *lat.select_nth_unstable(rank - 1).1;
             p99_threshold = Some(threshold);
             for r in &self.completed {
                 if r.latency() >= threshold {
@@ -547,7 +635,7 @@ mod tests {
 
     #[test]
     fn decomposition_sums_exactly_to_latency() {
-        let mut rec = FlightRecorder::new(16);
+        let mut rec = FlightRecorder::new(16, 2);
         begin(&mut rec, 0, 0, 64, 100);
         for (cat, t) in [
             (Category::Bus, 120),
@@ -575,7 +663,7 @@ mod tests {
 
     #[test]
     fn out_of_order_and_overshooting_milestones_still_sum_exactly() {
-        let mut rec = FlightRecorder::new(16);
+        let mut rec = FlightRecorder::new(16, 2);
         begin(&mut rec, 3, 7, 128, 1000);
         // An occupancy milestone past the fill time (handler retires
         // after the critical word) and a side-path milestone that moves
@@ -609,7 +697,7 @@ mod tests {
 
     #[test]
     fn ids_are_per_processor_issue_order() {
-        let mut rec = FlightRecorder::new(16);
+        let mut rec = FlightRecorder::new(16, 2);
         begin(&mut rec, 0, 0, 64, 10);
         rec.apply(FlightEvent::Complete {
             node: 0,
@@ -631,7 +719,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut rec = FlightRecorder::new(2);
+        let mut rec = FlightRecorder::new(2, 2);
         for i in 0..4u64 {
             begin(&mut rec, 0, 0, 64 * (i + 1), 10 * i);
             rec.apply(FlightEvent::Complete {
@@ -651,7 +739,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_counts_every_completion_as_dropped() {
-        let mut rec = FlightRecorder::new(0);
+        let mut rec = FlightRecorder::new(0, 2);
         begin(&mut rec, 0, 0, 64, 0);
         rec.apply(FlightEvent::Complete {
             node: 0,
@@ -665,7 +753,7 @@ mod tests {
 
     #[test]
     fn milestones_for_unknown_transactions_are_ignored() {
-        let mut rec = FlightRecorder::new(4);
+        let mut rec = FlightRecorder::new(4, 2);
         rec.apply(FlightEvent::Milestone {
             node: 9,
             line: 640,
@@ -682,7 +770,7 @@ mod tests {
 
     #[test]
     fn measure_reset_clears_aggregates_but_keeps_live() {
-        let mut rec = FlightRecorder::new(4);
+        let mut rec = FlightRecorder::new(4, 2);
         begin(&mut rec, 0, 0, 64, 0);
         rec.apply(FlightEvent::Complete {
             node: 0,
@@ -715,7 +803,7 @@ mod tests {
 
     #[test]
     fn slowest_orders_by_latency_then_id() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = FlightRecorder::new(8, 2);
         for (proc, line, issue, fill) in
             [(0u32, 64u64, 0u64, 50u64), (1, 128, 0, 90), (2, 192, 0, 50)]
         {
@@ -735,7 +823,7 @@ mod tests {
 
     #[test]
     fn blame_p99_tail_over_retained() {
-        let mut rec = FlightRecorder::new(256);
+        let mut rec = FlightRecorder::new(256, 2);
         for i in 0..100u64 {
             begin(&mut rec, 0, i as u32, 64 * (i + 1), 0);
             rec.apply(FlightEvent::Complete {
@@ -760,7 +848,7 @@ mod tests {
 
     #[test]
     fn blame_json_is_deterministic() {
-        let mut rec = FlightRecorder::new(4);
+        let mut rec = FlightRecorder::new(4, 2);
         begin(&mut rec, 0, 0, 64, 0);
         rec.apply(FlightEvent::Complete {
             node: 0,
@@ -772,13 +860,13 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"component_cycles\""));
         assert!(a.contains("\"p99_threshold\":10"));
-        let empty = FlightRecorder::new(4).blame().to_json().to_string();
+        let empty = FlightRecorder::new(4, 2).blame().to_json().to_string();
         assert!(empty.contains("\"p99_threshold\":null"));
     }
 
     #[test]
     fn hops_are_recorded_in_order() {
-        let mut rec = FlightRecorder::new(4);
+        let mut rec = FlightRecorder::new(4, 2);
         begin(&mut rec, 2, 5, 64, 0);
         for (t, handler) in [(10, "home_read_clean"), (30, "req_data_resp")] {
             rec.apply(FlightEvent::Hop {
@@ -800,8 +888,119 @@ mod tests {
             time: 50,
         });
         let r = rec.completed().next().unwrap();
-        assert_eq!(r.hops.len(), 2);
-        assert_eq!(r.hops[0].handler, "home_read_clean");
-        assert_eq!(r.hops[1].time, 30);
+        let hops = rec.hops(r);
+        assert_eq!(hops.len(), 2);
+        assert_eq!(hops[0].handler, "home_read_clean");
+        assert_eq!(hops[1].time, 30);
+    }
+
+    fn hop_at(time: Cycle) -> Hop {
+        Hop {
+            time,
+            at_node: 0,
+            engine: 0,
+            occupancy: 1,
+            handler: "h",
+            phase: "p",
+        }
+    }
+
+    #[test]
+    fn hop_arena_keeps_every_retained_chain_and_stays_bounded() {
+        // Hop counts 0..=6 in a ring of three: records are discarded
+        // while the arena holds a mix of live and dead chains, and the
+        // arena wraps many times over.
+        let mut rec = FlightRecorder::new(3, 1);
+        for i in 0..200u64 {
+            let line = 64 * (i % 5);
+            begin(&mut rec, 0, 0, line, 1000 * i);
+            for h in 0..i % 7 {
+                rec.apply(FlightEvent::Hop {
+                    node: 0,
+                    line,
+                    hop: hop_at(1000 * i + h),
+                });
+            }
+            rec.apply(FlightEvent::Complete {
+                node: 0,
+                line,
+                time: 1000 * i + 10,
+            });
+            for r in rec.completed() {
+                let times: Vec<Cycle> = rec.hops(r).iter().map(|h| h.time).collect();
+                let want: Vec<Cycle> = (0..r.issue / 1000 % 7).map(|h| r.issue + h).collect();
+                assert_eq!(times, want, "hops of {}", r.id);
+            }
+            // Three retained chains of up to six hops, a skipped tail of
+            // up to five and the new chain use at most 29 positions; the
+            // arena doubles only when short, so it never passes 32.
+            assert!(rec.hops.len() <= 32, "arena grew to {}", rec.hops.len());
+        }
+        assert_eq!(rec.dropped(), 197);
+    }
+
+    /// The p99 threshold and tail sums by a full sort: the reference
+    /// `blame` must match.
+    fn p99_by_sort(rec: &FlightRecorder) -> (Option<u64>, u64, [u64; 5]) {
+        let mut lat: Vec<u64> = rec.completed().map(|r| r.latency()).collect();
+        if lat.is_empty() {
+            return (None, 0, [0; 5]);
+        }
+        lat.sort_unstable();
+        let threshold = lat[(lat.len() * 99).div_ceil(100).max(1) - 1];
+        let mut tail = 0;
+        let mut parts = [0u64; 5];
+        for r in rec.completed().filter(|r| r.latency() >= threshold) {
+            tail += r.latency();
+            for (t, c) in parts.iter_mut().zip(r.components) {
+                *t += c;
+            }
+        }
+        (Some(threshold), tail, parts)
+    }
+
+    #[test]
+    fn p99_selection_matches_a_full_sort() {
+        let mut rng = ccn_sim::SplitMix64::new(0x9e37);
+        let sizes = [1usize, 2, 99, 100, 101]
+            .into_iter()
+            .chain((0..40).map(|_| 1 + rng.next_below(600) as usize))
+            .collect::<Vec<_>>();
+        for (case, n) in sizes.into_iter().enumerate() {
+            let mut rec = FlightRecorder::new(1 << 10, 4);
+            // The first five cases use distinct latencies; the random
+            // ones draw from a narrow range so the threshold ties.
+            let spread = 1 + rng.next_below(40);
+            for i in 0..n as u64 {
+                let line = 64 * i;
+                begin(&mut rec, 0, 0, line, 0);
+                let latency = if case < 5 {
+                    i + 1
+                } else {
+                    1 + rng.next_below(spread)
+                };
+                rec.apply(FlightEvent::Milestone {
+                    node: 0,
+                    line,
+                    time: rng.next_below(latency + 1),
+                    cat: Category::ALL[rng.next_below(5) as usize],
+                });
+                rec.apply(FlightEvent::Complete {
+                    node: 0,
+                    line,
+                    time: latency,
+                });
+            }
+            let blame = rec.blame();
+            assert_eq!(
+                (
+                    blame.p99_threshold,
+                    blame.tail_cycles,
+                    blame.tail_component_cycles
+                ),
+                p99_by_sort(&rec),
+                "n = {n}"
+            );
+        }
     }
 }

@@ -1,0 +1,77 @@
+//! Allocation guard for runs with the transaction flight recorder on.
+//!
+//! The recorder is meant to be cheap enough to leave on. Its live table
+//! is sized when it is enabled, so in the measured phase the only heap
+//! traffic left is the completed ring and the hop arena doubling up to
+//! their working size: a few dozen allocations, not one per
+//! transaction. This binary installs its own counting global allocator,
+//! forwarding every allocation to [`ccn_sim::alloc_gate`], and holds
+//! quick Ocean on HWC and on 2PPC, with a large and a small ring, to
+//! that bound.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+
+use ccn_workloads::suite::SuiteApp;
+use ccnuma::experiments::{config_for, ConfigMods, Options};
+use ccnuma::{Architecture, Machine};
+
+/// System allocator that reports every `alloc`/`realloc` to the gate,
+/// which counts it only while a requested measured phase is live.
+struct CountingAlloc;
+
+// SAFETY: defers to `System` for every operation; the counter hook does
+// not allocate and never observes the pointers.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ccn_sim::alloc_gate::note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ccn_sim::alloc_gate::note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ccn_sim::alloc_gate::note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Measured-phase allocations allowed with the recorder on.
+const MAX_MEASURED_ALLOCS: u64 = 64;
+
+// One test function on purpose: the gate's counters are process-wide,
+// so the runs must not overlap.
+#[test]
+fn recorder_on_measured_phase_allocates_a_bounded_number_of_times() {
+    for arch in [Architecture::Hwc, Architecture::TwoPpc] {
+        for capacity in [1 << 16, 256] {
+            let opts = Options::quick();
+            let app = SuiteApp::OceanBase;
+            let cfg = config_for(app, arch, opts, ConfigMods::default());
+            let instance = app.instantiate(opts.scale);
+            let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
+            machine.enable_flight_recorder(capacity);
+            ccn_sim::alloc_gate::request();
+            machine.run();
+            let (allocs, bytes) = ccn_sim::alloc_gate::counts();
+            ccn_sim::alloc_gate::reset();
+            let recorder = machine.flight().expect("recorder on");
+            assert!(recorder.transactions() > 0, "the run recorded transactions");
+            assert!(
+                allocs <= MAX_MEASURED_ALLOCS,
+                "{} with a {capacity}-record ring: the measured phase allocated {allocs} \
+                 time(s) ({bytes} bytes), over the bound of {MAX_MEASURED_ALLOCS}",
+                arch.name()
+            );
+        }
+    }
+}

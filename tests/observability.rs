@@ -157,11 +157,11 @@ fn exported_trace_is_wellformed_with_monotone_timestamps_per_track() {
     assert_eq!(spans, machine.trace().len(), "every ring event exported");
     // Every retained multi-hop transaction contributes one anchor per
     // hop; single-hop transactions have nothing to link.
-    let expected_anchors: usize = machine
-        .flight()
-        .expect("recorder on")
+    let recorder = machine.flight().expect("recorder on");
+    let expected_anchors: usize = recorder
         .completed()
-        .map(|r| if r.hops.len() < 2 { 0 } else { r.hops.len() })
+        .map(|r| recorder.hops(r).len())
+        .filter(|&n| n >= 2)
         .sum();
     assert_eq!(flow_anchors, expected_anchors, "every hop chain exported");
     assert!(
@@ -269,15 +269,21 @@ fn flight_recorder_is_identical_across_thread_counts() {
         seq_report.blame.as_ref().map(|b| b.to_json().to_string()),
         par_report.blame.as_ref().map(|b| b.to_json().to_string()),
     );
-    // Per-record equality, not just aggregate: ids, hops, components.
-    let a: Vec<_> = seq.flight().unwrap().completed().collect();
-    let b: Vec<_> = par.flight().unwrap().completed().collect();
+    // Per-record equality, not just aggregate: ids, components, and
+    // every field of every hop, so a hop-arena indexing slip on the
+    // parallel merge path cannot hide behind matching chain lengths.
+    let (ra, rb) = (seq.flight().unwrap(), par.flight().unwrap());
+    let a: Vec<_> = ra.completed().collect();
+    let b: Vec<_> = rb.completed().collect();
     assert_eq!(a.len(), b.len());
+    let mut hops = 0;
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.id, y.id);
         assert_eq!(x.components, y.components);
-        assert_eq!(x.hops.len(), y.hops.len());
+        assert_eq!(ra.hops(x), rb.hops(y), "hop chain of {} diverged", x.id);
+        hops += ra.hops(x).len();
     }
+    assert!(hops > a.len(), "reference run records multi-hop chains");
 }
 
 #[test]

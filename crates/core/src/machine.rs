@@ -255,10 +255,6 @@ pub struct Machine {
     /// Events scheduled by shard wheels of a finished parallel run, folded
     /// into [`Machine::events_scheduled`] at reassembly.
     pub(crate) extra_scheduled: u64,
-    /// Observer called on every recorded handler execution; for external
-    /// tracing tools that want the full stream, not the bounded ring.
-    #[cfg(feature = "component-trace")]
-    pub(crate) trace_hook: Option<fn(&TraceEvent)>,
     /// Invalidation requests that found no local copy (stale directory
     /// bits from silent clean drops).
     pub(crate) useless_invalidations: u64,
@@ -382,8 +378,6 @@ impl Machine {
             flight: None,
             flight_key: None,
             extra_scheduled: 0,
-            #[cfg(feature = "component-trace")]
-            trace_hook: None,
             useless_invalidations: 0,
             handler_counts: [0; ccn_protocol::HandlerKind::COUNT],
             step_scratch: ccn_protocol::handlers::StepBuf::new(),
@@ -427,12 +421,28 @@ impl Machine {
                     self.nodes.iter().map(|n| n.mshr.len()).collect::<Vec<_>>(),
                 );
             }
-            match ev {
-                Event::ProcResume(p) => self.run_proc(p as usize, t),
-                Event::CcWork { node, engine } => self.cc_work(node as usize, engine as usize, t),
-                Event::MsgArrive(msg) => self.msg_arrive(msg, t),
-            }
+            self.dispatch(t, ev);
         }
+        self.finish()
+    }
+
+    /// Executes one event popped at cycle `t`.
+    #[inline]
+    fn dispatch(&mut self, t: Cycle, ev: Event) {
+        match ev {
+            Event::ProcResume(p) => self.run_proc(p as usize, t),
+            Event::CcWork { node, engine } => self.cc_work(node as usize, engine as usize, t),
+            Event::MsgArrive(msg) => self.msg_arrive(msg, t),
+        }
+    }
+
+    /// Ends a drained run, sequential or parallel, and builds its report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a processor is not done: the events drained while it
+    /// was still blocked, a deadlock.
+    pub(crate) fn finish(&self) -> SimReport {
         // The measured phase ends when the event loop drains; report
         // assembly below allocates freely outside the alloc gate.
         ccn_sim::alloc_gate::phase_end();
@@ -485,11 +495,7 @@ impl Machine {
             key,
             meta: (),
         });
-        match ev {
-            Event::ProcResume(p) => self.run_proc(p as usize, t),
-            Event::CcWork { node, engine } => self.cc_work(node as usize, engine as usize, t),
-            Event::MsgArrive(msg) => self.msg_arrive(msg, t),
-        }
+        self.dispatch(t, ev);
         Some(
             self.queue
                 .shard_ctx()
@@ -584,14 +590,6 @@ impl Machine {
         self.trace.as_ref().map(|ring| ring.dropped).unwrap_or(0)
     }
 
-    /// Registers an observer called on *every* handler execution,
-    /// independent of the bounded ring — for external tools that want the
-    /// full stream.
-    #[cfg(feature = "component-trace")]
-    pub fn set_trace_hook(&mut self, hook: fn(&TraceEvent)) {
-        self.trace_hook = Some(hook);
-    }
-
     /// Records every coherence transaction's causal span events into a
     /// [`FlightRecorder`] retaining the most recent `capacity` completed
     /// transactions — each with an exact cycle decomposition into bus,
@@ -655,17 +653,6 @@ impl Machine {
         occupancy: Cycle,
     ) {
         let engine = self.current_engine;
-        #[cfg(feature = "component-trace")]
-        if let Some(hook) = self.trace_hook {
-            hook(&TraceEvent {
-                time,
-                node,
-                engine,
-                handler,
-                line,
-                occupancy,
-            });
-        }
         if let Some(ctx) = self.queue.shard_ctx() {
             // Shard machines buffer trace events per window, tagged with
             // the executing event's log index; the barrier merges them
@@ -1519,7 +1506,7 @@ impl Machine {
         root
     }
 
-    pub(crate) fn build_report(&self) -> SimReport {
+    fn build_report(&self) -> SimReport {
         let end = self.procs.iter().map(|p| p.finish_time).max().unwrap_or(0);
         let exec_cycles = end.saturating_sub(self.measure_start);
         let instructions: u64 = self

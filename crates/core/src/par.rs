@@ -95,7 +95,9 @@ impl MachineQueue {
 impl ScheduleSink<Event> for MachineQueue {
     fn schedule(&mut self, at: Cycle, event: Event) {
         match self {
-            MachineQueue::Seq(q) => q.schedule(at, event),
+            MachineQueue::Seq(q) => {
+                q.schedule(at, event);
+            }
             MachineQueue::Shard(ctx) => {
                 assert!(
                     ctx.owns(&event),
@@ -357,9 +359,7 @@ impl Machine {
     /// Falls back to the sequential loop when parallelism cannot help or
     /// cannot be made exact: one thread or one node, first-touch
     /// placement (page homing mutates a global map race-prone under
-    /// partitioning), a sampler cadence shorter than the lookahead, or a
-    /// registered trace hook (an external side channel that would
-    /// observe shard-local interleavings).
+    /// partitioning), or a sampler cadence shorter than the lookahead.
     ///
     /// # Panics
     ///
@@ -385,15 +385,10 @@ impl Machine {
         max_events: u64,
     ) -> crate::report::SimReport {
         let delta = lookahead(&self.cfg);
-        #[cfg(feature = "component-trace")]
-        let hook_set = self.trace_hook.is_some();
-        #[cfg(not(feature = "component-trace"))]
-        let hook_set = false;
         if threads <= 1
             || self.cfg.nodes < 2
             || self.cfg.placement == crate::config::PlacementPolicy::FirstTouch
             || self.sampler.as_ref().is_some_and(|s| s.cadence() < delta)
-            || hook_set
         {
             return self.run_with_event_limit(max_events);
         }
@@ -516,8 +511,6 @@ fn execute(
             flight: None,
             flight_key: None,
             extra_scheduled: 0,
-            #[cfg(feature = "component-trace")]
-            trace_hook: None,
             useless_invalidations: 0,
             handler_counts: [0; ccn_protocol::HandlerKind::COUNT],
             step_scratch: ccn_protocol::handlers::StepBuf::new(),
@@ -918,23 +911,7 @@ fn execute(
     coord.nodes = Sliced::whole(nodes);
     coord.procs = Sliced::whole(procs);
     coord.node_miss_latency = Sliced::whole(hists);
-
-    if coord.done_count != coord.procs.len() {
-        let stuck: Vec<usize> = coord
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.state != crate::machine::ProcState::Done)
-            .map(|(i, _)| i)
-            .collect();
-        panic!(
-            "parallel simulation drained with {} processors not done (stuck: {stuck:?}; \
-             sync blocked: {})",
-            stuck.len(),
-            coord.sync.anyone_blocked()
-        );
-    }
-    coord.build_report()
+    coord.finish()
 }
 
 /// Applies one stalled synchronization operation against the

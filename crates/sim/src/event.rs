@@ -1,23 +1,22 @@
 //! Deterministic time-ordered event queue.
 //!
 //! Implemented as a calendar queue: a fixed wheel of per-cycle buckets
-//! covering the near future, with a binary-heap overflow for events
-//! scheduled beyond the wheel's horizon. Discrete-event simulators
-//! schedule almost exclusively a few tens to hundreds of cycles ahead
-//! (component latencies), so nearly every event takes the O(1)
-//! bucket path; the heap only sees rare far-future timers.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! covering the near future, plus a short cycle-sorted list of the
+//! far-future cycles beyond the wheel's horizon. Every cycle's events,
+//! near or far, form one intrusive FIFO list through a shared slab, so a
+//! far cycle enters the wheel by moving its whole list into its bucket.
+//! Discrete-event simulators schedule almost exclusively a few tens to
+//! hundreds of cycles ahead (component latencies), so nearly every event
+//! takes the O(1) bucket path; far cycles are rare timers.
 
 use crate::Cycle;
 
 /// Log2 of the wheel size. 1024 cycles comfortably covers every
 /// component latency in the simulated machine (the slowest single hop,
 /// uncontended DRAM plus network, is well under 300 CPU cycles), so the
-/// overflow heap is cold in practice.
+/// far cycles are cold in practice.
 const WHEEL_BITS: u32 = 10;
-/// Cycles (and buckets) covered by the wheel window `[base, base+SPAN)`.
+/// Cycles (and buckets) covered by the wheel window `[now, now+SPAN)`.
 const WHEEL_SPAN: Cycle = 1 << WHEEL_BITS;
 /// Maps an absolute cycle to its bucket index.
 const WHEEL_MASK: Cycle = WHEEL_SPAN - 1;
@@ -27,6 +26,9 @@ const WHEEL_MASK: Cycle = WHEEL_SPAN - 1;
 /// Events are delivered in non-decreasing timestamp order; events scheduled
 /// for the same cycle are delivered in the order they were scheduled (FIFO).
 /// This makes every simulation run bit-for-bit reproducible.
+/// [`insert_by`](Self::insert_by) places an event at an explicit position
+/// within its cycle instead, for callers that keep each cycle's events
+/// sorted by a key of their own.
 ///
 /// The payload type `E` is chosen by the simulator that owns the queue; the
 /// engine itself attaches no meaning to it.
@@ -46,22 +48,17 @@ const WHEEL_MASK: Cycle = WHEEL_SPAN - 1;
 ///
 /// # Invariants
 ///
-/// * Every bucketed event's timestamp lies in `[base, base + SPAN)`, so a
-///   bucket only ever holds events of a single absolute cycle and needs no
-///   per-event timestamp or ordering key — insertion order *is* FIFO order.
-/// * Every overflow event's timestamp is `>= base + SPAN` (restored by
-///   migration at the top of each [`pop`](Self::pop)). Because migration
-///   runs before any later `schedule` call can add a same-cycle event to a
-///   bucket, migrated (earlier-scheduled) events always land in front:
-///   global FIFO order is preserved without storing sequence numbers in
-///   the wheel.
-/// * `now <= `(every pending timestamp), enforced by the scheduling
-///   assertion, so sliding `base` up to `now` never strands an event
-///   behind the window.
+/// * Every bucketed event's timestamp lies in `[now, now + SPAN)`, so a
+///   bucket only ever holds events of a single absolute cycle.
+/// * Every far cycle is `>= now + SPAN`, restored whenever a pop advances
+///   the clock: each far cycle that entered the window moves its list,
+///   whole, into its bucket before any later insertion can reach that
+///   bucket, so its earlier-scheduled events stay in front.
+/// * `now <= `(every pending timestamp), enforced by the insertion
+///   assertion, so `time - now` never wraps.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `SPAN` buckets; bucket `t & MASK` holds the events for cycle `t`
-    /// as a `(head, tail)` intrusive FIFO through `slab` (`NIL` = empty).
+    /// `SPAN` buckets; bucket `t & MASK` holds the list for cycle `t`.
     ///
     /// One shared slab instead of a `VecDeque` per bucket: bursty
     /// workloads pile thousands of same-cycle events into whichever
@@ -70,29 +67,34 @@ pub struct EventQueue<E> {
     /// capacity) to keep the steady state allocation-free. The slab is
     /// sized once for the *total* pending high-water mark, which every
     /// bucket shares.
-    wheel: Box<[(u32, u32)]>,
-    /// Node storage for the wheel's intrusive lists.
+    wheel: Box<[List]>,
+    /// Far cycles with their lists and list lengths, latest first so the
+    /// earliest is popped off the end.
+    far: Vec<(Cycle, List, usize)>,
+    /// Node storage for every list.
     slab: Vec<Slot<E>>,
     /// Head of the free list through `slab` (`NIL` = empty).
     free: u32,
-    /// Events in the wheel (the buckets' total length).
+    /// Events in the wheel's buckets.
     wheel_len: usize,
-    /// Start of the wheel's window; only ever advances.
-    base: Cycle,
-    /// Events at or beyond `base + SPAN`, ordered by `(time, seq)`.
-    overflow: BinaryHeap<Far<E>>,
-    /// Scheduling sequence number; doubles as the lifetime event count.
-    seq: u64,
+    /// Events in the far lists.
+    far_len: usize,
+    /// Lifetime count of scheduled events.
+    scheduled: u64,
     /// High-water mark of concurrently pending events, for capacity
-    /// planning (the zero-alloc gate needs buckets sized past this).
+    /// planning (the zero-alloc gate needs the slab sized past this).
     max_pending: usize,
     now: Cycle,
 }
 
-/// Sentinel for "no slot" in the wheel's intrusive lists.
+/// Sentinel for "no slot" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: an event plus the link to the next slot of its bucket
+/// One cycle's events as an intrusive FIFO through the slab:
+/// `(head, tail)`, `(NIL, NIL)` when empty.
+type List = (u32, u32);
+
+/// One slab slot: an event plus the link to the next slot of its list
 /// (or of the free list). `None` while on the free list.
 #[derive(Debug)]
 struct Slot<E> {
@@ -100,28 +102,39 @@ struct Slot<E> {
     next: u32,
 }
 
-/// An overflow (far-future) event. The sequence number breaks timestamp
-/// ties so same-cycle events migrate to their bucket in FIFO order.
-#[derive(Debug)]
-struct Far<E> {
-    key: Reverse<(Cycle, u64)>,
-    event: E,
+/// The event in an occupied slot.
+fn event_at<E>(slab: &[Slot<E>], idx: u32) -> &E {
+    slab[idx as usize]
+        .event
+        .as_ref()
+        .expect("listed slot is occupied")
 }
 
-impl<E> PartialEq for Far<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Far<E> {}
-impl<E> PartialOrd for Far<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Far<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+/// Links slot `idx` into `list` behind the leading run of entries for
+/// which `behind` holds. Appending, the common case, only tests the tail.
+fn link<E>(slab: &mut [Slot<E>], list: &mut List, idx: u32, mut behind: impl FnMut(&E) -> bool) {
+    let (head, tail) = *list;
+    if tail == NIL {
+        *list = (idx, idx);
+    } else if behind(event_at(slab, tail)) {
+        slab[tail as usize].next = idx;
+        list.1 = idx;
+    } else if !behind(event_at(slab, head)) {
+        slab[idx as usize].next = head;
+        list.0 = idx;
+    } else {
+        // `behind` holds at the head and fails at the tail: find the
+        // last entry it holds for.
+        let mut prev = head;
+        loop {
+            let next = slab[prev as usize].next;
+            if !behind(event_at(slab, next)) {
+                break;
+            }
+            prev = next;
+        }
+        slab[idx as usize].next = slab[prev as usize].next;
+        slab[prev as usize].next = idx;
     }
 }
 
@@ -140,12 +153,12 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(events: usize) -> Self {
         EventQueue {
             wheel: vec![(NIL, NIL); WHEEL_SPAN as usize].into_boxed_slice(),
+            far: Vec::with_capacity(events.min(64)),
             slab: Vec::with_capacity(events),
             free: NIL,
             wheel_len: 0,
-            base: 0,
-            overflow: BinaryHeap::with_capacity(events.min(64)),
-            seq: 0,
+            far_len: 0,
+            scheduled: 0,
             max_pending: 0,
             now: 0,
         }
@@ -171,131 +184,134 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Appends `event` to the bucket for absolute cycle `time` (which
-    /// must be inside the wheel window).
-    fn push_bucket(&mut self, time: Cycle, event: E) {
-        let idx = self.alloc_slot(event);
-        let b = (time & WHEEL_MASK) as usize;
-        let (_, tail) = self.wheel[b];
-        if tail == NIL {
-            self.wheel[b] = (idx, idx);
-        } else {
-            self.slab[tail as usize].next = idx;
-            self.wheel[b].1 = idx;
-        }
-        self.wheel_len += 1;
-    }
-
-    /// Removes and returns the first event of `bucket`, if any,
-    /// returning its slot to the free list.
-    fn pop_bucket(&mut self, bucket: usize) -> Option<E> {
-        let (head, _) = self.wheel[bucket];
-        if head == NIL {
-            return None;
-        }
-        let slot = &mut self.slab[head as usize];
-        let next = slot.next;
-        let event = slot.event.take().expect("occupied bucket slot");
-        slot.next = self.free;
-        self.free = head;
-        if next == NIL {
-            self.wheel[bucket] = (NIL, NIL);
-        } else {
-            self.wheel[bucket].0 = next;
-        }
-        self.wheel_len -= 1;
-        Some(event)
-    }
-
-    /// Schedules `event` to fire at absolute cycle `time`.
+    /// Schedules `event` to fire at absolute cycle `time`, behind every
+    /// event already pending at that cycle. Returns the event's slot for
+    /// [`get_mut`](Self::get_mut).
     ///
     /// # Panics
     ///
     /// Panics if `time` is in the past (before the last popped event); a
     /// simulator that schedules into the past has a causality bug and must
     /// fail loudly rather than silently reorder history.
-    pub fn schedule(&mut self, time: Cycle, event: E) {
+    #[inline]
+    pub fn schedule(&mut self, time: Cycle, event: E) -> u32 {
+        self.insert_by(time, event, |_| true)
+    }
+
+    /// Schedules `event` at `time` behind the leading run of that cycle's
+    /// pending events for which `behind` holds, and ahead of the rest.
+    /// `behind` must hold for a prefix of the cycle's events and fail for
+    /// the remainder, as for [`slice::partition_point`] — for example
+    /// `key <= new key` over events kept sorted by key. Returns the
+    /// event's slot for [`get_mut`](Self::get_mut).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is in the past, like [`schedule`](Self::schedule).
+    pub fn insert_by(&mut self, time: Cycle, event: E, behind: impl FnMut(&E) -> bool) -> u32 {
         assert!(
             time >= self.now,
             "event scheduled at cycle {time} but the clock is already at {}",
             self.now
         );
-        self.seq += 1;
-        self.max_pending = self
-            .max_pending
-            .max(self.wheel_len + self.overflow.len() + 1);
-        // `time >= now >= base` outside of `pop`, so this subtraction
-        // cannot wrap.
-        if time - self.base < WHEEL_SPAN {
-            self.push_bucket(time, event);
+        self.scheduled += 1;
+        self.max_pending = self.max_pending.max(self.len() + 1);
+        let idx = self.alloc_slot(event);
+        let list = if time - self.now < WHEEL_SPAN {
+            self.wheel_len += 1;
+            &mut self.wheel[(time & WHEEL_MASK) as usize]
         } else {
-            self.overflow.push(Far {
-                key: Reverse((time, self.seq)),
-                event,
-            });
-        }
+            self.far_len += 1;
+            let i = match self.far.binary_search_by(|&(t, ..)| time.cmp(&t)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.far.insert(i, (time, (NIL, NIL), 0));
+                    i
+                }
+            };
+            let (_, list, len) = &mut self.far[i];
+            *len += 1;
+            list
+        };
+        link(&mut self.slab, list, idx, behind);
+        idx
     }
 
-    /// Removes and returns the next event as `(time, event)`, advancing the
-    /// clock to its timestamp. Returns `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+    /// The pending event in `slot` (as returned when it was scheduled), or
+    /// `None` once it has popped. A popped event's slot is reused by later
+    /// insertions.
+    pub fn get_mut(&mut self, slot: u32) -> Option<&mut E> {
+        self.slab.get_mut(slot as usize)?.event.as_mut()
+    }
+
+    /// The earliest pending cycle and the first slot of its list.
+    fn first(&self) -> Option<(Cycle, u32)> {
         if self.wheel_len == 0 {
-            // Either empty, or everything pending is far-future: jump the
-            // window straight to the earliest overflow timestamp.
-            let &Far {
-                key: Reverse((first, _)),
-                ..
-            } = self.overflow.peek()?;
-            self.base = first;
-        } else if self.base < self.now {
-            // Slide the window forward. Buckets for cycles before `now`
-            // are necessarily empty (their events would be in the past),
-            // so no wheel entry is stranded.
-            self.base = self.now;
+            return self.far.last().map(|&(t, (head, _), _)| (t, head));
         }
-        // Pull newly-in-window overflow events into their buckets. Heap
-        // order is (time, seq), so same-cycle events arrive FIFO.
-        while let Some(&Far {
-            key: Reverse((t, _)),
-            ..
-        }) = self.overflow.peek()
-        {
-            if t - self.base >= WHEEL_SPAN {
-                break;
-            }
-            let far = self.overflow.pop().expect("peeked entry");
-            self.push_bucket(t, far.event);
-        }
-        // The earliest pending event is now in the wheel, at or after
-        // max(base, now) and before base + SPAN. Empty buckets behind
-        // `now` are never rescanned, so the scan cost amortizes to
-        // O(time advanced) across a run.
-        let mut t = self.base.max(self.now);
+        // The wheel's events all precede every far cycle. Pops scan from
+        // the clock they advance, so the empty buckets a pop skips are
+        // never rescanned and the cost amortizes to O(time advanced).
+        let mut t = self.now;
         loop {
-            debug_assert!(t < self.base + WHEEL_SPAN, "scan ran past the window");
-            if let Some(event) = self.pop_bucket((t & WHEEL_MASK) as usize) {
-                self.now = t;
-                return Some((t, event));
+            debug_assert!(t - self.now < WHEEL_SPAN, "scan ran past the window");
+            let head = self.wheel[(t & WHEEL_MASK) as usize].0;
+            if head != NIL {
+                return Some((t, head));
             }
             t += 1;
         }
     }
 
+    /// Removes and returns the next event as `(time, event)`, advancing the
+    /// clock to its timestamp. Returns `None` when the queue is empty.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        self.pop_before(Cycle::MAX)
+    }
+
+    /// Like [`pop`](Self::pop), but only for an event strictly before
+    /// `end`; otherwise returns `None` and leaves the queue, clock
+    /// included, unchanged.
+    pub fn pop_before(&mut self, end: Cycle) -> Option<(Cycle, E)> {
+        let (time, head) = self.first().filter(|&(t, _)| t < end)?;
+        self.now = time;
+        // Far cycles now inside the window move into their buckets, which
+        // are empty: an earlier cycle sharing one would be in the past.
+        while let Some(&(t, list, len)) = self.far.last() {
+            if t - time >= WHEEL_SPAN {
+                break;
+            }
+            self.far.pop();
+            let bucket = &mut self.wheel[(t & WHEEL_MASK) as usize];
+            debug_assert_eq!(bucket.0, NIL, "far list moved into a live bucket");
+            *bucket = list;
+            self.far_len -= len;
+            self.wheel_len += len;
+        }
+        let bucket = &mut self.wheel[(time & WHEEL_MASK) as usize];
+        let slot = &mut self.slab[head as usize];
+        let event = slot.event.take().expect("occupied bucket slot");
+        if slot.next == NIL {
+            *bucket = (NIL, NIL);
+        } else {
+            bucket.0 = slot.next;
+        }
+        slot.next = self.free;
+        self.free = head;
+        self.wheel_len -= 1;
+        Some((time, event))
+    }
+
+    /// The next event [`pop`](Self::pop) would return, without removing it.
+    pub fn peek(&self) -> Option<(Cycle, &E)> {
+        self.first()
+            .map(|(t, head)| (t, event_at(&self.slab, head)))
+    }
+
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        if self.wheel_len > 0 {
-            // The wheel's minimum beats everything in overflow (which is
-            // entirely at or beyond base + SPAN).
-            let mut t = self.base.max(self.now);
-            loop {
-                debug_assert!(t < self.base + WHEEL_SPAN, "peek ran past the window");
-                if self.wheel[(t & WHEEL_MASK) as usize].0 != NIL {
-                    return Some(t);
-                }
-                t += 1;
-            }
-        }
-        self.overflow.peek().map(|far| far.key.0 .0)
+        self.first().map(|(t, _)| t)
     }
 
     /// The current simulation time: the timestamp of the last popped event.
@@ -305,17 +321,17 @@ impl<E> EventQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.wheel_len + self.far_len
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.wheel_len == 0 && self.overflow.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events scheduled over the queue's lifetime.
     pub fn total_scheduled(&self) -> u64 {
-        self.seq
+        self.scheduled
     }
 
     /// High-water mark of concurrently pending events over the queue's
@@ -430,17 +446,17 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_survive_the_overflow_path() {
+    fn far_future_events_survive_the_far_path() {
         let mut q = EventQueue::new();
         // Far beyond the wheel window, plus a near event.
         q.schedule(5, "near");
         q.schedule(1_000_000, "far-b");
-        q.schedule(1_000_000, "far-c"); // same-cycle tie across overflow
+        q.schedule(1_000_000, "far-c"); // same-cycle tie on the far path
         q.schedule(999_999, "far-a");
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((5, "near")));
-        // The wheel is empty: the window must jump, not scan a million slots.
-        assert_eq!(q.peek_time(), Some(999_999));
+        // The wheel is empty: the clock must jump, not scan a million slots.
+        assert_eq!(q.peek(), Some((999_999, &"far-a")));
         assert_eq!(q.pop(), Some((999_999, "far-a")));
         assert_eq!(q.pop(), Some((1_000_000, "far-b")));
         assert_eq!(q.pop(), Some((1_000_000, "far-c")));
@@ -472,6 +488,55 @@ mod tests {
         q.schedule(WHEEL_SPAN, "first-beyond");
         assert_eq!(q.pop(), Some((WHEEL_SPAN - 1, "last-in-window")));
         assert_eq!(q.pop(), Some((WHEEL_SPAN, "first-beyond")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn insert_by_places_events_within_their_cycle() {
+        let mut q = EventQueue::new();
+        let far = 5 * WHEEL_SPAN;
+        for t in [7, far] {
+            q.schedule(t, 20);
+            q.schedule(t, 40);
+            q.insert_by(t, 30, |&e| e <= 30); // between
+            q.insert_by(t, 10, |&e| e <= 10); // ahead of all
+            q.insert_by(t, 50, |&e| e <= 50); // behind all
+        }
+        for t in [7, far] {
+            for e in [10, 20, 30, 40, 50] {
+                assert_eq!(q.pop(), Some((t, e)));
+            }
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn get_mut_reaches_pending_events_near_and_far() {
+        let mut q = EventQueue::new();
+        let near = q.schedule(3, 'a');
+        let far = q.schedule(10 * WHEEL_SPAN, 'b');
+        *q.get_mut(near).unwrap() = 'x';
+        *q.get_mut(far).unwrap() = 'y';
+        assert_eq!(q.pop(), Some((3, 'x')));
+        assert_eq!(q.get_mut(near), None, "popped slot is free");
+        assert_eq!(q.pop(), Some((10 * WHEEL_SPAN, 'y')));
+    }
+
+    #[test]
+    fn refused_pop_before_leaves_the_clock_for_near_schedules() {
+        // Only far events pending: a refused `pop_before` must not jump
+        // the clock to them, or scheduling just after `now` would land
+        // behind the window.
+        let mut q = EventQueue::new();
+        q.schedule(10, "near");
+        assert_eq!(q.pop(), Some((10, "near")));
+        q.schedule(10 + 4 * WHEEL_SPAN, "far");
+        assert_eq!(q.pop_before(11 + WHEEL_SPAN), None);
+        assert_eq!(q.now(), 10);
+        q.schedule(11, "next");
+        assert_eq!(q.pop_before(12), Some((11, "next")));
+        assert_eq!(q.pop_before(12), None);
+        assert_eq!(q.pop(), Some((10 + 4 * WHEEL_SPAN, "far")));
         assert_eq!(q.pop(), None);
     }
 }

@@ -1,9 +1,9 @@
 //! Conservative parallel discrete-event execution.
 //!
 //! This module is the engine-side substrate for running one simulation on
-//! several threads while reproducing the sequential [`EventQueue`](crate::EventQueue)
+//! several threads while reproducing the sequential [`EventQueue`]
 //! schedule *byte for byte*. The model is partitioned into shards, each
-//! owning a [`ShardWheel`] (a calendar of per-cycle FIFO buckets). Shards
+//! owning a [`ShardWheel`] (that same queue, over keyed entries). Shards
 //! advance independently through bounded time windows whose width is the
 //! model's **lookahead** — a lower bound on the delay of any cross-shard
 //! interaction. Cross-shard messages are exchanged through [`Ring`]
@@ -28,22 +28,22 @@
 //! per-window execution log. Because every cross-shard interaction is
 //! delayed by at least the lookahead, no event can gain same-window
 //! parents on another shard — so each shard's window execution is the
-//! exact projection of the sequential schedule, appends to a bucket
-//! always arrive in canonical order, and a bucket is a plain
-//! append-only `Vec`. At the window barrier a [`Merger`] ranks every
-//! executed event cycle by cycle (a k-way merge of the per-shard logs by
-//! key), yielding the canonical global order; `Fresh` keys are then
-//! patched to `Sealed` form and the logs are discarded.
+//! exact projection of the sequential schedule, and its own schedules
+//! append to a cycle's list in canonical order; only barrier-time
+//! arrivals need an ordered insert. At the window barrier a [`Merger`]
+//! ranks every executed event cycle by cycle (a k-way merge of the
+//! per-shard logs by key), yielding the canonical global order; `Fresh`
+//! keys are then patched to `Sealed` form and the logs are discarded.
 //!
 //! The wheel enforces the conservative safety property at the boundary:
 //! inserting an event below a shard's window floor panics (a *lookahead
 //! violation*) rather than silently reordering — see the adversarial
 //! tests in `crates/sim/tests/par_differential.rs`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use crate::Cycle;
+use crate::{Cycle, EventQueue};
 
 /// Shard index, compact for key storage.
 pub type ShardId = u16;
@@ -300,48 +300,23 @@ impl<P> Merger<P> {
     }
 }
 
-/// A shard-local calendar of per-cycle FIFO buckets.
+/// A shard-local calendar: an [`EventQueue`] of keyed entries plus the
+/// barrier floor and the slots of the current window's `Fresh` entries.
 ///
-/// Buckets are append-only during window execution (appends provably
-/// arrive in canonical key order; see the module docs); barrier-time
-/// insertions go through [`ShardWheel::insert_with`], which places the
-/// entry at its canonical position and enforces the lookahead floor.
-///
-/// Storage is a power-of-two calendar of cycle-tagged slots covering the
-/// next `NEAR_SLOTS` cycles, with a `BTreeMap` overflow for entries
-/// beyond the horizon; far buckets migrate into the calendar as `now`
-/// advances. Scheduling and popping are O(1) on the calendar path.
-/// `Fresh`-keyed appends are also recorded in a dirty list so that
-/// [`ShardWheel::patch_keys`] touches exactly the entries scheduled
-/// since the last barrier instead of walking every pending bucket.
+/// During window execution the owning shard appends (its schedules
+/// provably arrive in canonical key order; see the module docs);
+/// barrier-time insertions go through [`ShardWheel::insert_with`], which
+/// places the entry at its canonical position and enforces the lookahead
+/// floor. [`ShardWheel::patch_keys`] seals exactly the `Fresh` entries
+/// scheduled since the last barrier, found by their queue slots.
 #[derive(Debug)]
 pub struct ShardWheel<E> {
-    slots: Vec<Slot<E>>,
-    near_count: usize,
-    far: BTreeMap<Cycle, Vec<(EKey, E)>>,
-    far_count: usize,
-    now: Cycle,
+    queue: EventQueue<(EKey, E)>,
     floor: Cycle,
-    scheduled: u64,
-    /// `(cycle, absolute bucket index)` of every pending `Fresh` entry
-    /// appended since the last `patch_keys` call.
-    fresh: Vec<(Cycle, usize)>,
-}
-
-/// Calendar horizon: cycles `[now, now + NEAR_SLOTS)` live in tagged
-/// slots. Must exceed any window span (lookahead bound), including the
-/// deliberately inflated bounds used by the adversarial tests.
-const NEAR_SLOTS: usize = 4096;
-const NEAR_MASK: usize = NEAR_SLOTS - 1;
-
-/// One calendar slot. `popped` counts entries already consumed from the
-/// front of this bucket, so dirty-list indices recorded at append time
-/// (`popped + items.len()`) stay valid across same-window pops.
-#[derive(Debug)]
-struct Slot<E> {
-    cycle: Cycle,
-    popped: usize,
-    items: VecDeque<(EKey, E)>,
+    /// Queue slots of the `Fresh` entries scheduled since the last
+    /// `patch_keys` call. A slot whose entry already popped may have been
+    /// reused by a later entry of the same window, itself listed here.
+    fresh: Vec<u32>,
 }
 
 impl<E> Default for ShardWheel<E> {
@@ -354,83 +329,41 @@ impl<E> ShardWheel<E> {
     /// An empty wheel at cycle 0.
     pub fn new() -> Self {
         ShardWheel {
-            slots: (0..NEAR_SLOTS)
-                .map(|_| Slot {
-                    cycle: 0,
-                    popped: 0,
-                    items: VecDeque::new(),
-                })
-                .collect(),
-            near_count: 0,
-            far: BTreeMap::new(),
-            far_count: 0,
-            now: 0,
+            queue: EventQueue::new(),
             floor: 0,
-            scheduled: 0,
             fresh: Vec::new(),
         }
     }
 
     /// Current cycle: the delivery time of the most recently popped entry.
     pub fn now(&self) -> Cycle {
-        self.now
+        self.queue.now()
     }
 
     /// Total entries scheduled into this wheel over its lifetime.
     pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.queue.total_scheduled()
     }
 
     /// Pending entries.
     pub fn len(&self) -> usize {
-        self.near_count + self.far_count
+        self.queue.len()
     }
 
     /// Whether no entries are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The earliest pending cycle on the calendar path, if any. Scans
-    /// slot tags forward from `now`; bounded by the calendar size and in
-    /// practice by the gap to the next event.
-    fn next_near(&self) -> Option<Cycle> {
-        if self.near_count == 0 {
-            return None;
-        }
-        let mut c = self.now;
-        loop {
-            let slot = &self.slots[(c as usize) & NEAR_MASK];
-            if slot.cycle == c && !slot.items.is_empty() {
-                return Some(c);
-            }
-            c += 1;
-        }
+        self.queue.is_empty()
     }
 
     /// The cycle of the earliest pending entry.
     pub fn next_time(&self) -> Option<Cycle> {
-        let far = self.far.keys().next().copied();
-        match (self.next_near(), far) {
-            (Some(n), Some(f)) => Some(n.min(f)),
-            (n, f) => n.or(f),
-        }
+        self.queue.peek_time()
     }
 
     /// The cycle and key of the entry the next `pop_window` call would
     /// return, without removing it.
     pub fn next_entry(&self) -> Option<(Cycle, EKey)> {
-        let c = self.next_time()?;
-        let slot = &self.slots[(c as usize) & NEAR_MASK];
-        if slot.cycle == c {
-            if let Some((key, _)) = slot.items.front() {
-                return Some((c, *key));
-            }
-        }
-        self.far
-            .get(&c)
-            .and_then(|b| b.first())
-            .map(|(key, _)| (c, *key))
+        self.queue.peek().map(|(c, (key, _))| (c, *key))
     }
 
     /// Raises the barrier floor: after a window ending at `floor`, no
@@ -439,70 +372,30 @@ impl<E> ShardWheel<E> {
         self.floor = self.floor.max(floor);
     }
 
-    /// The calendar slot for cycle `at`, retagged if it last served a
-    /// (fully consumed) earlier cycle.
-    fn slot_for(slots: &mut [Slot<E>], at: Cycle) -> &mut Slot<E> {
-        let slot = &mut slots[(at as usize) & NEAR_MASK];
-        if slot.cycle != at {
-            debug_assert!(slot.items.is_empty(), "live slot retagged");
-            slot.cycle = at;
-            slot.popped = 0;
-        }
-        slot
-    }
-
     /// Seeds an entry before the run under an `Init` key. Seeds must be
     /// fed in ascending `seq` order.
     pub fn seed(&mut self, at: Cycle, seq: u64, ev: E) {
-        self.scheduled += 1;
-        if at < self.now + NEAR_SLOTS as Cycle {
-            let slot = Self::slot_for(&mut self.slots, at);
-            slot.items.push_back((EKey::Init { seq }, ev));
-            self.near_count += 1;
-        } else {
-            self.far
-                .entry(at)
-                .or_default()
-                .push((EKey::Init { seq }, ev));
-            self.far_count += 1;
-        }
+        self.queue.schedule(at, (EKey::Init { seq }, ev));
     }
 
     /// Schedules a shard-local entry under `key` during window execution.
-    /// Same-cycle (zero-delay) schedules join the tail of the bucket
+    /// Same-cycle (zero-delay) schedules join the tail of the cycle
     /// currently being drained, exactly like the sequential queue's FIFO.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the wheel's past.
     pub fn schedule_keyed(&mut self, at: Cycle, key: EKey, ev: E) {
-        assert!(
-            at >= self.now,
-            "scheduling at past cycle {at} (wheel now {})",
-            self.now
-        );
-        self.scheduled += 1;
-        let is_fresh = matches!(key, EKey::Fresh { .. });
-        if at < self.now + NEAR_SLOTS as Cycle {
-            let slot = Self::slot_for(&mut self.slots, at);
-            if is_fresh {
-                self.fresh.push((at, slot.popped + slot.items.len()));
-            }
-            slot.items.push_back((key, ev));
-            self.near_count += 1;
-        } else {
-            let bucket = self.far.entry(at).or_default();
-            if is_fresh {
-                self.fresh.push((at, bucket.len()));
-            }
-            bucket.push((key, ev));
-            self.far_count += 1;
+        let slot = self.queue.schedule(at, (key, ev));
+        if matches!(key, EKey::Fresh { .. }) {
+            self.fresh.push(slot);
         }
     }
 
-    /// Inserts a sealed entry at its canonical position within the `at`
-    /// bucket, comparing keys through `resolve`. This is the barrier-time
-    /// path for cross-shard arrivals (message deliveries, wakeups).
+    /// Inserts a sealed entry at its canonical position among cycle
+    /// `at`'s pending entries, comparing keys through `resolve`. This is
+    /// the barrier-time path for cross-shard arrivals (message
+    /// deliveries, wakeups).
     ///
     /// # Panics
     ///
@@ -526,92 +419,29 @@ impl<E> ShardWheel<E> {
             !matches!(key, EKey::Fresh { .. }),
             "barrier insertions must carry sealed keys"
         );
-        self.scheduled += 1;
         let rk = resolve(&key);
-        if at < self.now + NEAR_SLOTS as Cycle {
-            let slot = Self::slot_for(&mut self.slots, at);
-            let pos = slot.items.partition_point(|(k, _)| resolve(k) <= rk);
-            slot.items.insert(pos, (key, ev));
-            self.near_count += 1;
-        } else {
-            let bucket = self.far.entry(at).or_default();
-            let pos = bucket.partition_point(|(k, _)| resolve(k) <= rk);
-            bucket.insert(pos, (key, ev));
-            self.far_count += 1;
-        }
-    }
-
-    /// Moves overflow buckets whose cycle has entered the calendar
-    /// horizon into their slots. Called whenever `now` advances, which
-    /// keeps the invariant that `far` never holds a cycle below
-    /// `now + NEAR_SLOTS`.
-    fn migrate(&mut self) {
-        let horizon = self.now + NEAR_SLOTS as Cycle;
-        while let Some((&c, _)) = self.far.first_key_value() {
-            if c >= horizon {
-                break;
-            }
-            let bucket = self.far.remove(&c).expect("far bucket");
-            self.far_count -= bucket.len();
-            self.near_count += bucket.len();
-            let slot = &mut self.slots[(c as usize) & NEAR_MASK];
-            debug_assert!(slot.items.is_empty(), "live slot retagged");
-            slot.cycle = c;
-            slot.popped = 0;
-            slot.items = VecDeque::from(bucket);
-        }
+        self.queue
+            .insert_by(at, (key, ev), |(k, _)| resolve(k) <= rk);
     }
 
     /// Pops the next entry strictly before `end`, in canonical order.
     /// Returns `None` when the window is exhausted.
     pub fn pop_window(&mut self, end: Cycle) -> Option<(Cycle, EKey, E)> {
-        loop {
-            let slot = &mut self.slots[(self.now as usize) & NEAR_MASK];
-            if slot.cycle == self.now {
-                if let Some((key, ev)) = slot.items.pop_front() {
-                    slot.popped += 1;
-                    self.near_count -= 1;
-                    return Some((self.now, key, ev));
-                }
-            }
-            let next = self.next_time()?;
-            if next >= end {
-                return None;
-            }
-            self.now = next;
-            self.migrate();
-        }
-    }
-
-    /// Entries still pending at cycle `c`, in canonical order.
-    pub fn pending_at(&self, c: Cycle) -> impl Iterator<Item = &(EKey, E)> {
-        let slot = &self.slots[(c as usize) & NEAR_MASK];
-        let near = (slot.cycle == c).then(|| slot.items.iter());
-        let far = self.far.get(&c).map(|b| b.iter());
-        near.into_iter().flatten().chain(far.into_iter().flatten())
+        self.queue
+            .pop_before(end)
+            .map(|(t, (key, ev))| (t, key, ev))
     }
 
     /// Rewrites every pending `Fresh` entry's key (window-barrier
-    /// patching to `Sealed` form), using the dirty list recorded at
-    /// append time. Entries consumed within the window are skipped; seeds
-    /// and already-sealed entries were never recorded.
+    /// patching to `Sealed` form), using the slots recorded at schedule
+    /// time. Entries consumed within the window are skipped; sealing is
+    /// the identity on seeds and sealed keys.
     pub fn patch_keys(&mut self, seal: impl Fn(&EKey) -> EKey) {
-        let mut fresh = std::mem::take(&mut self.fresh);
-        for (c, a) in fresh.drain(..) {
-            let slot = &mut self.slots[(c as usize) & NEAR_MASK];
-            if slot.cycle == c {
-                if a >= slot.popped {
-                    if let Some((key, _)) = slot.items.get_mut(a - slot.popped) {
-                        *key = seal(key);
-                    }
-                }
-            } else if let Some(bucket) = self.far.get_mut(&c) {
-                if let Some((key, _)) = bucket.get_mut(a) {
-                    *key = seal(key);
-                }
+        for slot in self.fresh.drain(..) {
+            if let Some((key, _)) = self.queue.get_mut(slot) {
+                *key = seal(key);
             }
         }
-        self.fresh = fresh;
     }
 }
 
@@ -960,6 +790,43 @@ mod tests {
         w.insert_with(50, k(2, 5, 1), 20, Resolved::of_sealed);
         let order: Vec<u32> = std::iter::from_fn(|| w.pop_window(100).map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn patch_keys_seals_a_fresh_entry_in_a_reused_slot() {
+        let mut w: ShardWheel<u32> = ShardWheel::new();
+        let fresh = |xi| EKey::Fresh {
+            shard: 0,
+            xi,
+            idx: 0,
+        };
+        let seal = |k: &EKey| match *k {
+            EKey::Fresh { xi, idx, .. } => EKey::Sealed {
+                pc: 1,
+                pr: u64::from(xi),
+                idx,
+            },
+            sealed => sealed,
+        };
+        w.seed(1, 0, 0);
+        assert_eq!(w.pop_window(10).unwrap().2, 0);
+        // A fresh entry that pops inside its window frees its slot ...
+        w.schedule_keyed(2, fresh(0), 1);
+        assert_eq!(w.pop_window(10).unwrap().2, 1);
+        // ... which the next fresh entry of the same window takes over.
+        w.schedule_keyed(5, fresh(1), 2);
+        w.patch_keys(seal);
+        assert_eq!(
+            w.next_entry(),
+            Some((
+                5,
+                EKey::Sealed {
+                    pc: 1,
+                    pr: 1,
+                    idx: 0
+                }
+            ))
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! triple by triple — must match, including the FIFO tie-break among
 //! same-cycle events whose parents executed on different shards. The
 //! adversarial cases pin the boundary semantics: emissions landing
-//! exactly on the window edge, zero-delay self-send chains, and a
-//! mutation test that shrinks the lookahead below the model's actual
+//! exactly on the window edge, zero-delay self-send chains, far-future
+//! emissions colliding on shared cycles past the calendar's horizon, and
+//! a mutation test that shrinks the lookahead below the model's actual
 //! cross-shard delay and expects the safety panic, not a reordering.
 
 use ccn_sim::par::{run_conservative, Emission};
@@ -59,11 +60,11 @@ fn branch(
 }
 
 /// The obviously-correct reference: one sequential calendar queue over
-/// `(shard, event)` pairs, popped to completion.
+/// `(shard, event)` pairs, popped to completion, with the handler
+/// signature of [`run_conservative`].
 fn run_sequential(
     seeds: &[(Cycle, usize, Ev)],
-    nshards: usize,
-    min_cross: Cycle,
+    handler: impl Fn(usize, Cycle, &Ev, &mut Vec<Emission<Ev>>),
 ) -> Vec<(Cycle, usize, Ev)> {
     let mut queue: EventQueue<(usize, Ev)> = EventQueue::new();
     for &(at, shard, payload) in seeds {
@@ -74,7 +75,7 @@ fn run_sequential(
     while let Some((t, (shard, payload))) = queue.pop() {
         out.push((t, shard, payload));
         emissions.clear();
-        branch(shard, payload, nshards, min_cross, &mut emissions);
+        handler(shard, t, &payload, &mut emissions);
         for em in emissions.drain(..) {
             queue.schedule(t + em.delay, (em.to, em.ev));
         }
@@ -96,10 +97,9 @@ fn make_seeds(rng: &mut SplitMix64, nshards: usize, count: usize) -> Vec<(Cycle,
 fn differential_case(seed: u64, nshards: usize, threads: usize) {
     let mut rng = SplitMix64::new(seed);
     let seeds = make_seeds(&mut rng, nshards, 40);
-    let expected = run_sequential(&seeds, nshards, LOOKAHEAD);
-    let got = run_conservative(seeds, nshards, LOOKAHEAD, threads, |s, _, e, out| {
-        branch(s, *e, nshards, LOOKAHEAD, out)
-    });
+    let handler = |s, _, e: &Ev, out: &mut Vec<_>| branch(s, *e, nshards, LOOKAHEAD, out);
+    let expected = run_sequential(&seeds, handler);
+    let got = run_conservative(seeds, nshards, LOOKAHEAD, threads, handler);
     assert_eq!(
         got, expected,
         "parallel pop order diverged (seed {seed}, {nshards} shards, {threads} threads)"
@@ -113,6 +113,55 @@ fn randomized_merge_matches_sequential_pop_order() {
         for nshards in [1, 2, 3, 4] {
             for threads in [1, 2, 4] {
                 differential_case(0xC0FFEE ^ seed, nshards, threads);
+            }
+        }
+    }
+}
+
+/// Like [`branch`], but most children land past a calendar wheel's
+/// horizon: 1,100–1,400 or 4,200–4,500 cycles ahead, snapped down to a
+/// 16-cycle grid of absolute cycles so far arrivals from different
+/// parents and shards collide. Cross-shard ones then reach the target's
+/// far cycles at barriers, often ahead of entries already there.
+fn branch_far(shard: usize, t: Cycle, payload: Ev, nshards: usize, out: &mut Vec<Emission<Ev>>) {
+    let depth = payload >> 56;
+    if depth == 0 {
+        return;
+    }
+    let mut rng = SplitMix64::new(payload);
+    let kids = rng.next_below(4);
+    let grid = |ahead: Cycle| (t + ahead) / 16 * 16 - t;
+    for _ in 0..kids {
+        let to = rng.next_below(nshards as u64) as usize;
+        let delay = match rng.next_below(3) {
+            0 => grid(1_100 + rng.next_below(300)),
+            1 => grid(4_200 + rng.next_below(300)),
+            _ if to == shard => rng.next_below(4),
+            _ => LOOKAHEAD + rng.next_below(3),
+        };
+        out.push(Emission {
+            to,
+            delay,
+            ev: ev(depth - 1, rng.next_u64()),
+        });
+    }
+}
+
+#[test]
+fn far_future_collisions_match_sequential() {
+    for seed in 0..40 {
+        for nshards in [2, 3, 4] {
+            let mut rng = SplitMix64::new(0xFA2 ^ seed);
+            let seeds = make_seeds(&mut rng, nshards, 40);
+            let handler = |s, t, e: &Ev, out: &mut Vec<_>| branch_far(s, t, *e, nshards, out);
+            let expected = run_sequential(&seeds, handler);
+            for threads in [1, 2] {
+                let got = run_conservative(seeds.clone(), nshards, LOOKAHEAD, threads, handler);
+                assert_eq!(
+                    got, expected,
+                    "parallel pop order diverged (seed {seed}, {nshards} shards, \
+                     {threads} threads)"
+                );
             }
         }
     }
@@ -144,20 +193,7 @@ fn window_edge_emissions_match_sequential() {
             });
         }
     };
-    let mut queue: EventQueue<(usize, Ev)> = EventQueue::new();
-    for &(at, shard, payload) in &seeds {
-        queue.schedule(at, (shard, payload));
-    }
-    let mut expected = Vec::new();
-    let mut emissions = Vec::new();
-    while let Some((t, (shard, payload))) = queue.pop() {
-        expected.push((t, shard, payload));
-        emissions.clear();
-        edge(shard, payload, &mut emissions);
-        for em in emissions.drain(..) {
-            queue.schedule(t + em.delay, (em.to, em.ev));
-        }
-    }
+    let expected = run_sequential(&seeds, |s, _, e, out| edge(s, *e, out));
     for threads in [1, 2] {
         let got = run_conservative(
             seeds.clone(),
@@ -197,20 +233,7 @@ fn zero_delay_self_send_chains_match_sequential() {
             });
         }
     };
-    let mut queue: EventQueue<(usize, Ev)> = EventQueue::new();
-    for &(at, shard, payload) in &seeds {
-        queue.schedule(at, (shard, payload));
-    }
-    let mut expected = Vec::new();
-    let mut emissions = Vec::new();
-    while let Some((t, (shard, payload))) = queue.pop() {
-        expected.push((t, shard, payload));
-        emissions.clear();
-        chain(shard, payload, &mut emissions);
-        for em in emissions.drain(..) {
-            queue.schedule(t + em.delay, (em.to, em.ev));
-        }
-    }
+    let expected = run_sequential(&seeds, |s, _, e, out| chain(s, *e, out));
     for threads in [1, 2] {
         let got = run_conservative(
             seeds.clone(),

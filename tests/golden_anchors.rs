@@ -1,8 +1,9 @@
 //! Golden-anchor regression tests.
 //!
 //! Deterministic outputs — the paper's analytic tables, the latency
-//! probes, the model checker's state-space coverage, and the
-//! cross-architecture conformance digests — are checked into
+//! probes, the model checker's state-space coverage, the
+//! cross-architecture conformance digests, and the contended timing of
+//! whole runs — are checked into
 //! `tests/golden/` and compared byte-for-byte here. A failure means the
 //! simulator's observable behavior moved; if the move is intentional,
 //! regenerate the snapshots with

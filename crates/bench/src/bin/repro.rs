@@ -43,20 +43,23 @@
 //! throughput against the baseline's `per_sec` at a 25% tolerance
 //! (override with `--tolerance F`) and exits non-zero on a regression;
 //! `--quick` shrinks the workloads to CI-smoke size; `--obs` runs the
-//! end-to-end case with the observability layer on (trace ring +
-//! stats-spine sampler), turning the gate into an obs-overhead bound.
+//! end-to-end case with the observability layer on (the stats-spine
+//! sampler and the transaction flight recorder, which records every
+//! handler span), turning the gate into an obs-overhead bound.
 //! See `docs/PERF.md`.
 //!
 //! `stats` runs the reference simulation (Ocean on HWC) with the
 //! stats-spine sampler enabled (`--sample-every N` cycles, default 1000)
 //! and prints the end-of-run component tree; with `--timeline` it also
 //! writes the sampled per-component time series as JSON under `--out`
-//! (default `results/`). `trace` runs the same simulation with protocol
-//! tracing on and exports a Chrome `trace_event` file loadable in
-//! Perfetto or `chrome://tracing` to the same directory
-//! (`--ring-capacity N` sizes the span ring; the artifact header carries
-//! the dropped-span count). Both JSON artifacts are deterministic:
-//! byte-identical across reruns and worker counts.
+//! (default `results/`). `trace` runs the same simulation with the
+//! transaction flight recorder on and exports its measured-phase handler
+//! spans, with flow arrows along each transaction's hops, as a Chrome
+//! `trace_event` file loadable in Perfetto or `chrome://tracing` to the
+//! same directory (`--ring-capacity N` sizes the recorder's two rings,
+//! transactions and hop-only records; the artifact header carries both
+//! dropped counts). Both JSON artifacts are deterministic: byte-identical
+//! across reruns and worker counts.
 //!
 //! `explain` runs the same reference simulation with the transaction
 //! flight recorder on (`--ring-capacity N` retained transactions) and
@@ -856,30 +859,33 @@ fn run_stats_target(opts: Options, args: &[String]) -> String {
     out
 }
 
-/// The `trace` target: the reference simulation with protocol tracing
-/// and the sampler on, exported as a Chrome `trace_event` JSON document.
+/// The `trace` target: the reference simulation with the flight
+/// recorder and the sampler on, exported as a Chrome `trace_event` JSON
+/// document.
 fn run_trace_target(opts: Options, args: &[String]) -> String {
     let every = uint_flag(args, "--sample-every", 1000);
     let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let capacity = (uint_flag(args, "--ring-capacity", 1 << 20) as usize).max(1);
     let mut machine = obs_machine(opts);
-    machine.enable_trace(capacity);
+    machine.enable_flight_recorder(capacity);
     machine.enable_sampler(every);
-    let report = machine.run_parallel(threads);
+    machine.run_parallel(threads);
     let mut out = String::new();
     let path = obs_artifact(args, "trace", opts);
     std::fs::write(&path, machine.chrome_trace().render_pretty())
         .expect("can write the trace artifact");
+    let recorder = machine.flight().expect("flight recorder was enabled");
+    let (dropped, hop_only_dropped) = (recorder.dropped(), recorder.hop_only_dropped());
     let _ = writeln!(
         out,
-        "trace: {} handler span(s), {} dropped; wrote {path}",
-        machine.trace().len(),
-        report.trace_dropped
+        "trace: {} handler span(s) of the measured phase, {dropped} transaction(s) and \
+         {hop_only_dropped} hop-only record(s) dropped; wrote {path}",
+        recorder.spans().count()
     );
-    if report.trace_dropped > 0 {
+    if dropped + hop_only_dropped > 0 {
         let _ = writeln!(
             out,
-            "warning: the trace ring overflowed; the export covers only the most recent spans"
+            "warning: the recorder's rings overflowed; the export covers only the most recent records"
         );
     }
     let _ = writeln!(

@@ -187,7 +187,7 @@ impl BenchReport {
 /// Runs every benchmark case. `quick` shrinks the work so the whole suite
 /// finishes in a few seconds (the CI smoke gate); the full mode sizes the
 /// cases for stable numbers. `obs` runs the end-to-end case with the
-/// observability layer on (protocol trace + stats-spine sampler), so a
+/// observability layer on (stats-spine sampler + flight recorder), so a
 /// baseline gate bounds the overhead of observing.
 ///
 /// Each case is sampled once per pass over the whole list, and the best
@@ -352,8 +352,9 @@ fn req(kind: DirRequestKind, requester: NodeId) -> DirRequest {
 /// One full reference simulation: Ocean on the HWC architecture — quick
 /// scale for the smoke gate, the default reproduction scale otherwise.
 /// Throughput is simulation events per wall-clock second. With `obs`,
-/// the run carries the full observability load: a protocol-trace ring,
-/// the stats-spine sampler, and the transaction flight recorder.
+/// the run carries the full observability load: the stats-spine sampler
+/// and the transaction flight recorder, which records every handler
+/// span.
 fn bench_end_to_end(quick: bool, obs: bool) -> CaseResult {
     let opts = if quick {
         Options::quick()
@@ -365,15 +366,14 @@ fn bench_end_to_end(quick: bool, obs: bool) -> CaseResult {
     let instance = app.instantiate(opts.scale);
     let mut machine = Machine::new(cfg, instance.as_ref()).expect("bench config is valid");
     if obs {
-        machine.enable_trace(1 << 16);
         machine.enable_sampler(if quick { 500 } else { 10_000 });
         machine.enable_flight_recorder(1 << 16);
     }
     // Arm the allocation gate: the machine starts counting when it
     // resets statistics for the measured phase and stops when the event
     // loop drains, so the count below covers exactly the steady state.
-    // The observability variant keeps the gate off — the bounded trace
-    // ring and the sampler's timeline grow by design.
+    // The observability variant keeps the gate off — the recorder's
+    // rings and the sampler's timeline grow by design.
     if !obs {
         ccn_sim::alloc_gate::request();
     }
@@ -394,7 +394,6 @@ fn bench_end_to_end(quick: bool, obs: bool) -> CaseResult {
     }
     if obs {
         std::hint::black_box((
-            machine.trace().len(),
             machine.timeline().map(|t| t.len()),
             machine.flight().map(|f| f.transactions()),
         ));

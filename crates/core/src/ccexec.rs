@@ -109,27 +109,24 @@ impl Machine {
             line,
             start,
         );
-        self.record_trace(start, n, kind.paper_label(), line, run.end - start);
-        if let Some((node, txn_line)) = self.flight_key {
-            self.record_flight(ccn_obs::FlightEvent::Hop {
-                node,
-                line: txn_line,
-                hop: ccn_obs::flight::Hop {
-                    time: start,
-                    at_node: n as u16,
-                    engine: self.current_engine,
-                    occupancy: run.end - start,
-                    handler: kind.paper_label(),
-                    phase: kind.phase().label(),
-                },
-            });
-            self.record_flight(ccn_obs::FlightEvent::Milestone {
-                node,
-                line: txn_line,
-                time: run.end,
-                cat: ccn_obs::flight::Category::Occupancy,
-            });
-        }
+        // Every handler execution is one hop. The no-direct-path
+        // write-back serves no transaction: its hop carries the evicting
+        // node and the line, the key a direct-path write-back's home
+        // handler carries, and is recorded like one.
+        let (node, txn_line) = self.flight_key.unwrap_or((n as u16, line.0));
+        self.record_flight(ccn_obs::FlightEvent::Hop {
+            node,
+            line: txn_line,
+            hop: ccn_obs::flight::Hop {
+                time: start,
+                at_node: n as u16,
+                engine: self.current_engine,
+                occupancy: run.end - start,
+                handler: kind.paper_label(),
+                phase: kind.phase().label(),
+            },
+        });
+        self.record_flight_milestone(run.end, ccn_obs::flight::Category::Occupancy);
         run
     }
 

@@ -25,23 +25,6 @@ use crate::report::{EngineReport, NodeReport, SimReport};
 use crate::steps::CcRequest;
 use crate::sync::{BarrierOutcome, LockOutcome, SyncState};
 
-/// One recorded protocol-handler execution (see [`Machine::enable_trace`]).
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Dispatch time in CPU cycles.
-    pub time: Cycle,
-    /// Executing node.
-    pub node: usize,
-    /// Executing protocol engine within the node's controller.
-    pub engine: u8,
-    /// Handler label (Table 4 row name).
-    pub handler: &'static str,
-    /// The cache line concerned.
-    pub line: LineAddr,
-    /// Handler occupancy in cycles.
-    pub occupancy: Cycle,
-}
-
 /// Simulation events.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
@@ -100,37 +83,6 @@ impl Presence {
     }
     pub(crate) fn other_than(&self, slot: u8) -> bool {
         self.sharers & !(1 << slot) != 0
-    }
-}
-
-/// A bounded protocol-trace buffer: keeps the most recent `capacity`
-/// events, dropping the oldest (and counting the drops) once full.
-#[derive(Debug)]
-pub(crate) struct TraceRing {
-    capacity: usize,
-    events: std::collections::VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl TraceRing {
-    fn new(capacity: usize) -> Self {
-        TraceRing {
-            capacity,
-            events: std::collections::VecDeque::with_capacity(capacity),
-            dropped: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
     }
 }
 
@@ -242,10 +194,9 @@ pub struct Machine {
     /// (see [`Machine::enable_sampler`]).
     pub(crate) sampler: Option<ccn_obs::Sampler>,
     /// Engine index of the protocol handler currently executing; stamped
-    /// into trace events so exported traces get one track per engine.
+    /// into flight-recorder hops so exported traces get one track per
+    /// engine.
     pub(crate) current_engine: u8,
-    /// Optional bounded protocol trace (oldest events dropped).
-    pub(crate) trace: Option<TraceRing>,
     /// Optional transaction flight recorder (see
     /// [`enable_flight_recorder`](Machine::enable_flight_recorder)).
     pub(crate) flight: Option<FlightRecorder>,
@@ -374,7 +325,6 @@ impl Machine {
             node_miss_latency: Sliced::whole(vec![ccn_sim::Histogram::new(); nodes_len]),
             sampler: None,
             current_engine: 0,
-            trace: None,
             flight: None,
             flight_key: None,
             extra_scheduled: 0,
@@ -565,37 +515,15 @@ impl Machine {
         self.sampler.as_ref().map(|s| s.timeline())
     }
 
-    /// Records protocol-handler executions for post-mortem inspection
-    /// (protocol debugging, tutorials) in a bounded ring holding the most
-    /// recent `capacity` events — once full, the oldest event is dropped
-    /// for each new one and counted in
-    /// [`trace_dropped`](Machine::trace_dropped). Call before
-    /// [`run`](Machine::run).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceRing::new(capacity));
-    }
-
-    /// The recorded protocol trace, oldest first (empty unless
-    /// [`enable_trace`](Machine::enable_trace) was called).
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        self.trace
-            .as_ref()
-            .map(|ring| ring.events.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// How many trace events the bounded ring has discarded (zero until
-    /// more than `capacity` handlers have run).
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace.as_ref().map(|ring| ring.dropped).unwrap_or(0)
-    }
-
     /// Records every coherence transaction's causal span events into a
     /// [`FlightRecorder`] retaining the most recent `capacity` completed
     /// transactions — each with an exact cycle decomposition into bus,
     /// queueing, occupancy, network and protocol-stall components that
-    /// sums to its recorded miss latency. Strictly observational; call
-    /// before [`run`](Machine::run).
+    /// sums to its recorded miss latency. Every protocol-handler
+    /// execution of the measured phase is recorded: as a hop of its
+    /// transaction, or in a second ring of the most recent `capacity`
+    /// hop-only records when it serves no live transaction. Strictly
+    /// observational; call before [`run`](Machine::run).
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         self.flight = Some(FlightRecorder::new(capacity, self.cfg.nprocs()));
     }
@@ -639,51 +567,9 @@ impl Machine {
     }
 
     /// Marks `engine` as the executor of the handler about to run, so
-    /// trace events carry the right per-engine track.
+    /// its flight-recorder hop carries the right per-engine track.
     pub(crate) fn set_current_engine(&mut self, engine: u8) {
         self.current_engine = engine;
-    }
-
-    pub(crate) fn record_trace(
-        &mut self,
-        time: Cycle,
-        node: usize,
-        handler: &'static str,
-        line: LineAddr,
-        occupancy: Cycle,
-    ) {
-        let engine = self.current_engine;
-        if let Some(ctx) = self.queue.shard_ctx() {
-            // Shard machines buffer trace events per window, tagged with
-            // the executing event's log index; the barrier merges them
-            // into the coordinator's ring in canonical order, so the
-            // bounded ring's drop pattern matches the sequential run.
-            if ctx.collect_trace {
-                let xi = ctx.cur_xi;
-                ctx.trace_log.push((
-                    xi,
-                    TraceEvent {
-                        time,
-                        node,
-                        engine,
-                        handler,
-                        line,
-                        occupancy,
-                    },
-                ));
-            }
-            return;
-        }
-        if let Some(ring) = &mut self.trace {
-            ring.push(TraceEvent {
-                time,
-                node,
-                engine,
-                handler,
-                line,
-                occupancy,
-            });
-        }
     }
 
     // ---------------------------------------------------------------
@@ -1269,6 +1155,13 @@ impl Machine {
                 line: line.0,
                 time: at,
             });
+        } else {
+            // A fill that costs the processor no cycles records no miss
+            // latency; the transaction begun at issue still ends here.
+            self.record_flight(FlightEvent::Close {
+                node: n as u16,
+                line: line.0,
+            });
         }
         self.procs[p].l2.unpin(line);
         let eviction = if self.procs[p].l2.state_of(line) != LineState::Invalid {
@@ -1603,7 +1496,6 @@ impl Machine {
             cc_queue_delay_hist,
             net_transit_hist: self.net.transit_histogram().clone(),
             useless_invalidations: self.useless_invalidations,
-            trace_dropped: self.trace_dropped(),
             blame: self.flight.as_ref().map(|f| f.blame()),
             arrival_cv: {
                 let mut inter = ccn_sim::stats::Accumulator::new();

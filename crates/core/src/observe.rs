@@ -1,11 +1,12 @@
 //! Observability exports: Chrome traces and per-run metrics payloads.
 //!
 //! This module bridges the machine's raw observability state — the
-//! protocol [`TraceEvent`](crate::machine::TraceEvent) ring, the sampled
-//! component [`Timeline`](ccn_obs::Timeline), and the latency histograms
-//! carried by [`SimReport`] — into the serialized artifacts the `repro`
-//! binary writes: a Perfetto-loadable `trace_event` JSON document and the
-//! metrics sidecars a sweep drops next to its checkpoints.
+//! [`FlightRecorder`](ccn_obs::FlightRecorder)'s handler hops, the
+//! sampled component [`Timeline`](ccn_obs::Timeline), and the latency
+//! histograms carried by [`SimReport`] — into the serialized artifacts
+//! the `repro` binary writes: a Perfetto-loadable `trace_event` JSON
+//! document and the metrics sidecars a sweep drops next to its
+//! checkpoints.
 //!
 //! Everything here reads completed simulation state; nothing feeds back
 //! into timing, so enabling export cannot perturb a run.
@@ -17,17 +18,19 @@ use crate::machine::Machine;
 use crate::report::SimReport;
 
 impl Machine {
-    /// Exports the recorded protocol trace and sampled timeline as one
-    /// Chrome `trace_event` JSON document.
+    /// Exports the flight recorder's handler executions and the sampled
+    /// timeline as one Chrome `trace_event` JSON document.
     ///
     /// Processes map to nodes and threads to protocol engines, so
     /// Perfetto shows one swimlane per engine with handler executions
-    /// laid out on the simulated clock. If a sampler was enabled, each
-    /// node's controller `queue_depth` series becomes a counter track.
+    /// laid out on the simulated clock: one span per hop the recorder
+    /// retains, from the measured phase. Flow arrows link each retained
+    /// transaction's hops. If a sampler was enabled, each node's
+    /// controller `queue_depth` series becomes a counter track.
     ///
     /// Call after [`run`](Machine::run); combine with
-    /// [`enable_trace`](Machine::enable_trace) (and optionally
-    /// [`enable_sampler`](Machine::enable_sampler)) before it.
+    /// [`enable_flight_recorder`](Machine::enable_flight_recorder) (and
+    /// optionally [`enable_sampler`](Machine::enable_sampler)) before it.
     pub fn chrome_trace(&self) -> Json {
         let mut trace = ChromeTrace::new();
         for (i, node) in self.nodes.iter().enumerate() {
@@ -37,24 +40,25 @@ impl Machine {
                 trace.set_thread_name(i as u64, e as u64, format!("engine{e}.{role}"));
             }
         }
-        for ev in self.trace() {
-            trace.add_span(
-                (ev.node as u64, ev.engine as u64),
-                ev.handler,
-                "handler",
-                ev.time,
-                ev.occupancy,
-                vec![("line", Json::UInt(ev.line.0))],
-            );
-        }
-        // Trace-ring health travels in the document header, so a viewer
-        // (or the trace artifact's reader) sees truncation at a glance.
-        trace.set_other_data("trace_dropped", Json::UInt(self.trace_dropped()));
         if let Some(recorder) = self.flight() {
+            for (line, hop) in recorder.spans() {
+                trace.add_span(
+                    (u64::from(hop.at_node), u64::from(hop.engine)),
+                    hop.handler,
+                    "handler",
+                    hop.time,
+                    hop.occupancy,
+                    vec![("line", Json::UInt(line))],
+                );
+            }
+            // Ring health travels in the document header, so a viewer
+            // (or the trace artifact's reader) sees truncation at a
+            // glance.
+            trace.set_other_data("flight_dropped", Json::UInt(recorder.dropped()));
+            trace.set_other_data("hop_only_dropped", Json::UInt(recorder.hop_only_dropped()));
             // Flow arrows link each transaction's handler spans across
             // node/engine tracks, in hop order; single-hop transactions
             // have nothing to link and are skipped by `add_flow`.
-            trace.set_other_data("flight_dropped", Json::UInt(recorder.dropped()));
             for rec in recorder.completed() {
                 let id = (u64::from(rec.id.proc) << 32) | u64::from(rec.id.seq);
                 trace.add_flow(
@@ -177,7 +181,7 @@ mod tests {
         use ccn_workloads::micro::UniformSharing;
         let mut machine =
             Machine::new(crate::SystemConfig::small(), &UniformSharing::default()).unwrap();
-        machine.enable_trace(1 << 16);
+        machine.enable_flight_recorder(1 << 16);
         machine.enable_sampler(500);
         machine.run();
         let j = machine.chrome_trace();

@@ -20,7 +20,7 @@ use ccn_protocol::Msg;
 use ccn_sim::par::{EKey, LogRec, Merger, Ring, ShardId, ShardWheel};
 use ccn_sim::{Component, ComponentStats, Cycle, EventQueue, ScheduleSink};
 
-use crate::machine::{Event, Machine, TraceEvent};
+use crate::machine::{Event, Machine};
 
 /// The machine's event sink: the sequential calendar queue, or — while
 /// running as a shard of a parallel execution — a shard-local wheel plus
@@ -143,18 +143,12 @@ pub(crate) struct ShardCtx {
     pub exec_log: Vec<LogRec<()>>,
     /// Network sends made this window, delivered at the barrier.
     pub pending_sends: Vec<PendingSend>,
-    /// Whether the coordinator has a protocol trace enabled (shard
-    /// machines collect into `trace_log` instead of a local ring).
-    pub collect_trace: bool,
-    /// Trace events recorded this window, tagged with the executing
-    /// event's log index for canonical re-ordering at the barrier.
-    pub trace_log: Vec<(u32, TraceEvent)>,
     /// Whether the coordinator has a transaction flight recorder enabled
     /// (shard machines collect into `flight_log` instead of applying).
     pub collect_flight: bool,
-    /// Flight-recorder events recorded this window, tagged like
-    /// `trace_log` and merged into the coordinator's recorder at the
-    /// barrier in canonical order.
+    /// Flight-recorder events recorded this window, tagged with the
+    /// executing event's log index and merged into the coordinator's
+    /// recorder at the barrier in canonical order.
     pub flight_log: Vec<(u32, ccn_obs::FlightEvent)>,
     /// Set when the current event hit a synchronization operation; the
     /// coordinator applies it and resumes the shard.
@@ -481,8 +475,6 @@ fn execute(
                 emit_idx: 0,
                 exec_log: Vec::new(),
                 pending_sends: Vec::new(),
-                collect_trace: coord.trace.is_some(),
-                trace_log: Vec::new(),
                 collect_flight: coord.flight.is_some(),
                 flight_log: Vec::new(),
                 stall: None,
@@ -507,7 +499,6 @@ fn execute(
             node_miss_latency: Sliced::part(range.start, hists),
             sampler: None,
             current_engine: 0,
-            trace: None,
             flight: None,
             flight_key: None,
             extra_scheduled: 0,
@@ -570,12 +561,11 @@ fn execute(
             m.queue.shard_ctx_ref().expect("shard machine")
         }
         // Per-window scratch, hoisted so allocations are reused. The
-        // shards' trace and flight buffers visit `traces`/`flights` for
-        // the barrier merge and go back to their shards afterwards.
+        // shards' flight buffers visit `flights` for the barrier merge
+        // and go back to their shards afterwards.
         let mut local: Vec<usize> = Vec::new();
         let mut sends: Vec<PendingSend> = Vec::new();
         let mut order: Vec<(ShardId, u32)> = Vec::new();
-        let mut traces: Vec<Vec<(u32, TraceEvent)>> = vec![Vec::new(); nshards];
         let mut flights: Vec<Vec<(u32, ccn_obs::FlightEvent)>> = vec![Vec::new(); nshards];
         let mut ptr: Vec<usize> = vec![0; nshards];
         loop {
@@ -725,7 +715,7 @@ fn execute(
             }
 
             // Phase 3: window barrier — rank the window's executions,
-            // merge traces, seal keys, deliver cross-shard work.
+            // merge flight events, seal keys, deliver cross-shard work.
             let mut logs: Vec<Vec<LogRec<()>>> = Vec::with_capacity(nshards);
             for (s, m) in machines.iter_mut().enumerate() {
                 let ctx = m
@@ -736,7 +726,6 @@ fn execute(
                     .expect("shard machine");
                 logs.push(std::mem::take(&mut ctx.exec_log));
                 sends.append(&mut ctx.pending_sends);
-                traces[s] = std::mem::take(&mut ctx.trace_log);
                 flights[s] = std::mem::take(&mut ctx.flight_log);
             }
             executed += logs.iter().map(Vec::len).sum::<usize>() as u64;
@@ -748,34 +737,20 @@ fn execute(
             }
             let mut merger = Merger::new(logs);
             order.clear();
-            // The merged order itself is only consumed by the trace ring
-            // and the (at most once per run) hub-stats reset; ranks alone
-            // seal every escaping key.
-            if coord.trace.is_some() || coord.flight.is_some() || net_reset.is_some() {
+            // The merged order itself is only consumed by the flight
+            // recorder and the (at most once per run) hub-stats reset;
+            // ranks alone seal every escaping key.
+            if coord.flight.is_some() || net_reset.is_some() {
                 merger.rank_into(end, &mut order);
             } else {
                 merger.rank_only(end);
             }
-            if let Some(ring) = &mut coord.trace {
-                ptr.fill(0);
-                for &(s, xi) in &order {
-                    let s = s as usize;
-                    while ptr[s] < traces[s].len() && traces[s][ptr[s]].0 == xi {
-                        ring.push(traces[s][ptr[s]].1.clone());
-                        ptr[s] += 1;
-                    }
-                }
-                debug_assert!(
-                    ptr.iter().zip(&traces).all(|(&p, t)| p == t.len()),
-                    "trace events left unmerged at the barrier"
-                );
-            }
             if let Some(recorder) = &mut coord.flight {
-                // Same canonical-order merge as the trace ring: per-shard
-                // buffers are sorted by log index with intra-event order
-                // preserved, so the coordinator's recorder sees the exact
-                // sequential event stream (ids, ring drops and the
-                // measurement reset all land at their sequential spots).
+                // Canonical-order merge: per-shard buffers are sorted by
+                // log index with intra-event order preserved, so the
+                // coordinator's recorder sees the exact sequential event
+                // stream (ids, ring drops and the measurement reset all
+                // land at their sequential spots).
                 ptr.fill(0);
                 for &(s, xi) in &order {
                     let s = s as usize;
@@ -856,11 +831,10 @@ fn execute(
                         merger.resolve(k)
                     });
             }
-            // Hand the log, trace and flight allocations back to the
-            // shards for reuse.
+            // Hand the log and flight allocations back to the shards for
+            // reuse.
             for (s, mut log) in merger.into_logs().into_iter().enumerate() {
                 log.clear();
-                traces[s].clear();
                 flights[s].clear();
                 let ctx = machines[s]
                     .as_mut()
@@ -869,7 +843,6 @@ fn execute(
                     .shard_ctx()
                     .expect("shard machine");
                 ctx.exec_log = log;
-                ctx.trace_log = std::mem::take(&mut traces[s]);
                 ctx.flight_log = std::mem::take(&mut flights[s]);
             }
         }

@@ -102,9 +102,6 @@ pub struct SimReport {
     /// Invalidation requests that found no cached copy (stale directory
     /// bits caused by silent clean evictions).
     pub useless_invalidations: u64,
-    /// Protocol-trace events discarded by the bounded trace ring (zero
-    /// when tracing is off or the ring never filled).
-    pub trace_dropped: u64,
     /// Coefficient of variation of request inter-arrival times at the
     /// controllers (1 ≈ Poisson; larger = bursty, the paper's explanation
     /// for FFT's outsized queueing delay).
@@ -266,13 +263,6 @@ impl SimReport {
             ns * self.cc_queue_delay_hist.quantile(0.99).unwrap_or(0.0),
             ns * self.net_transit_hist.quantile(0.99).unwrap_or(0.0)
         );
-        if self.trace_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "warning: protocol trace ring dropped {} events; pass a larger capacity to enable_trace for a complete stream",
-                self.trace_dropped
-            );
-        }
         let mut nodes = crate::tables::TextTable::new(vec![
             "node",
             "arrivals",
@@ -376,7 +366,6 @@ mod tests {
             net_transit_hist: Histogram::new(),
             dir_cache_hit_ratio: 0.0,
             useless_invalidations: 0,
-            trace_dropped: 0,
             arrival_cv: 0.0,
             blame: None,
         }
@@ -414,16 +403,6 @@ mod tests {
         assert!(s.contains("controllers:"));
         assert!(s.contains("node"));
         assert!(s.contains("p99"));
-        // No warning line unless the trace ring actually dropped events.
-        assert!(!s.contains("warning:"));
-    }
-
-    #[test]
-    fn summary_warns_about_dropped_trace_events() {
-        let mut r = report();
-        r.trace_dropped = 42;
-        let s = r.render_summary();
-        assert!(s.contains("warning: protocol trace ring dropped 42 events"));
     }
 
     #[test]

@@ -112,27 +112,35 @@ fn deterministic_runs() {
 }
 
 #[test]
-fn trace_records_handler_executions() {
+fn recorder_records_handler_executions() {
     let app = UniformSharing {
         touches_per_proc: 500,
         ..UniformSharing::default()
     };
     let cfg = SystemConfig::small().with_architecture(Architecture::Hwc);
     let mut machine = Machine::new(cfg, &app).unwrap();
-    machine.enable_trace(64);
-    let report = machine.run();
-    let trace = machine.trace();
-    assert_eq!(trace.len(), 64, "trace must fill to its capacity");
-    for w in trace.windows(2) {
-        assert!(w[0].time <= w[1].time, "trace must be time-ordered");
-    }
-    assert!(trace.iter().all(|e| e.occupancy > 0));
-    assert!(trace.iter().any(|e| e.handler.contains("read")));
-    assert!(
-        machine.trace_dropped() > 0,
-        "this workload runs far more than 64 handlers"
+    machine.enable_flight_recorder(64);
+    machine.run();
+    let recorder = machine.flight().expect("recorder on");
+    assert_eq!(
+        recorder.completed().count(),
+        64,
+        "ring must fill to capacity"
     );
-    assert_eq!(report.trace_dropped, machine.trace_dropped());
+    assert!(
+        recorder.dropped() > 0,
+        "this workload completes far more than 64 transactions"
+    );
+    for rec in recorder.completed() {
+        for w in recorder.hops(rec).windows(2) {
+            assert!(w[0].time <= w[1].time, "hops must be time-ordered");
+        }
+    }
+    assert!(recorder.hop_only().count() <= 64);
+    assert!(recorder.spans().all(|(_, hop)| hop.occupancy > 0));
+    assert!(recorder
+        .spans()
+        .any(|(_, hop)| hop.handler.contains("read")));
 }
 
 #[test]
@@ -177,32 +185,43 @@ fn component_stats_agrees_with_the_report() {
 }
 
 #[test]
-fn trace_ring_keeps_the_most_recent_events() {
+fn recorder_rings_keep_the_most_recent_records() {
     let app = UniformSharing {
         touches_per_proc: 500,
         ..UniformSharing::default()
     };
     let cfg = SystemConfig::small().with_architecture(Architecture::Hwc);
 
-    // Reference run with a ring big enough to never drop.
+    // Reference run with rings big enough to never drop.
     let mut full = Machine::new(cfg.clone(), &app).unwrap();
-    full.enable_trace(1 << 20);
+    full.enable_flight_recorder(1 << 20);
     full.run();
-    assert_eq!(full.trace_dropped(), 0);
-    let all = full.trace();
+    let all = full.flight().unwrap();
+    assert_eq!((all.dropped(), all.hop_only_dropped()), (0, 0));
+    let records: Vec<_> = all.completed().collect();
+    let hop_only: Vec<_> = all.hop_only().copied().collect();
+    assert!(
+        hop_only.len() > 8,
+        "this workload runs write-backs at the home"
+    );
 
-    // Bounded run: the ring must hold exactly the tail of the full trace.
+    // Bounded run: each ring must hold exactly the tail of the full one.
     let mut bounded = Machine::new(cfg, &app).unwrap();
-    bounded.enable_trace(8);
+    bounded.enable_flight_recorder(8);
     bounded.run();
-    let tail = bounded.trace();
-    assert_eq!(tail.len(), 8);
-    assert_eq!(bounded.trace_dropped() as usize, all.len() - 8);
-    for (kept, expected) in tail.iter().zip(&all[all.len() - 8..]) {
-        assert_eq!(kept.time, expected.time);
-        assert_eq!(kept.node, expected.node);
-        assert_eq!(kept.handler, expected.handler);
-        assert_eq!(kept.line, expected.line);
-        assert_eq!(kept.occupancy, expected.occupancy);
+    let tail = bounded.flight().unwrap();
+    assert_eq!(tail.completed().count(), 8);
+    assert_eq!(tail.dropped() as usize, records.len() - 8);
+    for (kept, expected) in tail.completed().zip(&records[records.len() - 8..]) {
+        assert_eq!(kept.id, expected.id);
+        assert_eq!(
+            (kept.issue, kept.complete),
+            (expected.issue, expected.complete)
+        );
+        assert_eq!(kept.components, expected.components);
+        assert_eq!(tail.hops(kept), all.hops(expected));
     }
+    let kept: Vec<_> = tail.hop_only().copied().collect();
+    assert_eq!(kept, hop_only[hop_only.len() - 8..]);
+    assert_eq!(tail.hop_only_dropped() as usize, hop_only.len() - 8);
 }

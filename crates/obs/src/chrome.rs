@@ -145,7 +145,7 @@ impl ChromeTrace {
     }
 
     /// Sets one entry of the document's top-level `otherData` metadata
-    /// object (e.g. the trace ring's dropped-event count).
+    /// object (e.g. the flight recorder's dropped-record counts).
     pub fn set_other_data(&mut self, key: impl Into<String>, value: Json) {
         self.other_data.insert(key.into(), value);
     }
@@ -347,12 +347,12 @@ mod tests {
         let bare = ChromeTrace::new().into_json();
         assert!(bare.get("otherData").is_none());
         let mut t = ChromeTrace::new();
-        t.set_other_data("trace_dropped", Json::UInt(12));
+        t.set_other_data("flight_dropped", Json::UInt(12));
         let j = t.into_json();
         assert_eq!(
             j.get("otherData")
                 .unwrap()
-                .get("trace_dropped")
+                .get("flight_dropped")
                 .unwrap()
                 .as_u64(),
             Some(12)

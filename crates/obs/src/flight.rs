@@ -11,10 +11,19 @@
 //! records — so `repro explain` output and the aggregate tables can never
 //! disagree.
 //!
+//! The recorder is also the machine's only record of handler
+//! executions: every handler emits one [`FlightEvent::Hop`]. A hop that
+//! serves no live transaction (a write-back or replacement hint at the
+//! home, a sparse-directory recall, a late ack) becomes a [`HopOnly`]
+//! record, and so do the hops of a transaction that ends without a
+//! completed record. [`FlightRecorder::spans`] reads every retained hop
+//! back, which is what the Chrome trace export draws.
+//!
 //! The recorder is strictly observational: it only consumes event times
 //! the simulator already computed, never influences scheduling, and keeps
-//! completed transactions in a bounded ring (oldest dropped and counted),
-//! so goldens and digests are byte-identical with it on or off.
+//! completed transactions and hop-only records in two bounded rings
+//! (oldest dropped and counted), so goldens and digests are
+//! byte-identical with it on or off.
 //!
 //! Determinism rules: events are applied in the simulator's canonical
 //! event order (parallel shards buffer events per window and the barrier
@@ -173,10 +182,32 @@ pub enum FlightEvent {
         /// Fill time; `time - issue` is the recorded miss latency.
         time: Cycle,
     },
-    /// The measured phase starts: reset aggregates, keep live
-    /// transactions (in-flight misses crossing the boundary land in the
-    /// measured miss-latency histograms, so the recorder keeps them too).
+    /// The fill arrived but cost the processor no cycles, so no miss
+    /// latency is recorded: the transaction ends without a record and
+    /// without being counted, and its hops become hop-only records.
+    Close {
+        /// Requesting node (transaction key).
+        node: u16,
+        /// Cache line address (transaction key).
+        line: u64,
+    },
+    /// The measured phase starts: reset aggregates and drop the retained
+    /// records, keep live transactions (in-flight misses crossing the
+    /// boundary land in the measured miss-latency histograms, so the
+    /// recorder keeps them too).
     MeasureReset,
+}
+
+/// A handler execution kept outside any transaction record: it served
+/// no live transaction, or its transaction ended without a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HopOnly {
+    /// Requesting node of the key the handler carried.
+    pub node: u16,
+    /// Cache line the handler concerned.
+    pub line: u64,
+    /// The handler execution.
+    pub hop: Hop,
 }
 
 /// A completed transaction with its exact cycle decomposition.
@@ -316,22 +347,25 @@ impl BlameSummary {
 }
 
 /// The flight recorder: applies [`FlightEvent`]s and keeps completed
-/// transactions in a bounded ring plus incremental per-category totals.
+/// transactions and hop-only records in bounded rings, plus incremental
+/// per-category totals.
 ///
 /// Storage is flat so the steady state stays off the allocator:
 ///
 /// - in-flight transactions sit in a slab of slots found through an
 ///   `FxHashMap` keyed by `(node, line)`; a slot's milestone and hop
 ///   buffers are reused in place. Each processor has at most one miss
-///   outstanding, so the map and slab are pre-sized to the processor
-///   count. They grow past it only for transactions that never
-///   complete (a fill that costs its processor no cycles records no
-///   completion), which hold their slot until their key is reused;
+///   outstanding, and every transaction frees its slot at its fill
+///   (completed or closed), so the map and slab are pre-sized to the
+///   processor count and never grow in a machine run;
 /// - completed records sit in one ring, and their hops in a second ring,
 ///   the hop arena, in completion order. A record's hops never straddle
 ///   the arena's end (the arena skips to its start instead), so they read
-///   back as one slice. Both rings grow by doubling, and only while the
-///   retained records need more room.
+///   back as one slice;
+/// - hop-only records sit in a third ring, in event order.
+///
+/// All three rings grow by doubling, and only while the retained records
+/// need more room.
 #[derive(Debug)]
 pub struct FlightRecorder {
     /// Next issue sequence number per processor.
@@ -347,8 +381,11 @@ pub struct FlightRecorder {
     hops: Vec<Hop>,
     /// Arena position one past the newest record's hops.
     hop_end: u64,
+    /// Hop-only records, oldest first.
+    hop_only: VecDeque<HopOnly>,
     capacity: usize,
     dropped: u64,
+    hop_only_dropped: u64,
     /// Completions since the last measurement reset.
     transactions: u64,
     total_cycles: u64,
@@ -356,10 +393,11 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder retaining at most `capacity` completed transactions,
-    /// with its live-transaction table sized for `nprocs` processors
-    /// (each has at most one miss outstanding). The completed ring is
-    /// not pre-allocated: it grows as transactions complete.
+    /// A recorder retaining at most `capacity` completed transactions
+    /// and at most `capacity` hop-only records, with its
+    /// live-transaction table sized for `nprocs` processors (each has at
+    /// most one miss outstanding). The rings are not pre-allocated: they
+    /// grow as records arrive.
     pub fn new(capacity: usize, nprocs: usize) -> FlightRecorder {
         FlightRecorder {
             next_seq: vec![0; nprocs],
@@ -369,8 +407,10 @@ impl FlightRecorder {
             completed: VecDeque::new(),
             hops: Vec::new(),
             hop_end: 0,
+            hop_only: VecDeque::new(),
             capacity,
             dropped: 0,
+            hop_only_dropped: 0,
             transactions: 0,
             total_cycles: 0,
             component_cycles: [0; 5],
@@ -396,8 +436,12 @@ impl FlightRecorder {
                     seq: self.next_seq[p],
                 };
                 self.next_seq[p] += 1;
-                // A Begin on a live key supersedes the stale transaction
-                // and takes over its slot.
+                // A Begin on a live key supersedes the stale transaction:
+                // its hops become hop-only records and the new
+                // transaction takes over its slot.
+                if let Some(&slot) = self.live.get(&(node, line)) {
+                    self.release_hops(node, line, slot as usize);
+                }
                 let slot = *self.live.entry((node, line)).or_insert_with(|| {
                     self.free.pop().unwrap_or_else(|| {
                         self.slots.push(LiveTxn::empty());
@@ -421,14 +465,19 @@ impl FlightRecorder {
                     self.slots[slot as usize].milestones.push((cat, time));
                 }
             }
-            FlightEvent::Hop { node, line, hop } => {
-                if let Some(&slot) = self.live.get(&(node, line)) {
-                    self.slots[slot as usize].hops.push(hop);
-                }
-            }
+            FlightEvent::Hop { node, line, hop } => match self.live.get(&(node, line)) {
+                Some(&slot) => self.slots[slot as usize].hops.push(hop),
+                None => self.push_hop_only(HopOnly { node, line, hop }),
+            },
             FlightEvent::Complete { node, line, time } => {
                 if let Some(slot) = self.live.remove(&(node, line)) {
                     self.finish(node, line, time, slot as usize);
+                    self.free.push(slot);
+                }
+            }
+            FlightEvent::Close { node, line } => {
+                if let Some(slot) = self.live.remove(&(node, line)) {
+                    self.release_hops(node, line, slot as usize);
                     self.free.push(slot);
                 }
             }
@@ -437,10 +486,37 @@ impl FlightRecorder {
                 self.total_cycles = 0;
                 self.component_cycles = [0; 5];
                 self.dropped = 0;
+                self.hop_only_dropped = 0;
                 // The arena's contents die with the records.
                 self.completed.clear();
+                self.hop_only.clear();
             }
         }
+    }
+
+    /// Files one hop-only record, dropping the oldest when the ring is
+    /// full.
+    fn push_hop_only(&mut self, rec: HopOnly) {
+        if self.capacity == 0 {
+            self.hop_only_dropped += 1;
+            return;
+        }
+        if self.hop_only.len() == self.capacity {
+            self.hop_only.pop_front();
+            self.hop_only_dropped += 1;
+        }
+        self.hop_only.push_back(rec);
+    }
+
+    /// Moves the hops of the transaction in `slot`, which ends without a
+    /// record, to hop-only records keyed by its `(node, line)`.
+    fn release_hops(&mut self, node: u16, line: u64, slot: usize) {
+        let mut hops = std::mem::take(&mut self.slots[slot].hops);
+        for hop in hops.drain(..) {
+            self.push_hop_only(HopOnly { node, line, hop });
+        }
+        // The emptied buffer goes back to the slot for its next user.
+        self.slots[slot].hops = hops;
     }
 
     /// Telescopes the milestones of the transaction in `slot` into the
@@ -551,6 +627,26 @@ impl FlightRecorder {
     /// How many completed records the bounded ring has discarded.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Hop-only records retained in their ring, oldest first.
+    pub fn hop_only(&self) -> impl Iterator<Item = &HopOnly> {
+        self.hop_only.iter()
+    }
+
+    /// How many hop-only records the bounded ring has discarded.
+    pub fn hop_only_dropped(&self) -> u64 {
+        self.hop_only_dropped
+    }
+
+    /// Every retained handler execution with the line its record names:
+    /// the hops of the retained transactions in completion order, then
+    /// the hop-only records oldest first.
+    pub fn spans(&self) -> impl Iterator<Item = (u64, &Hop)> {
+        self.completed
+            .iter()
+            .flat_map(|r| self.hops(r).iter().map(move |h| (r.line, h)))
+            .chain(self.hop_only.iter().map(|r| (r.line, &r.hop)))
     }
 
     /// Transactions completed since the last measurement reset.
@@ -892,6 +988,58 @@ mod tests {
         assert_eq!(hops.len(), 2);
         assert_eq!(hops[0].handler, "home_read_clean");
         assert_eq!(hops[1].time, 30);
+    }
+
+    #[test]
+    fn hops_without_a_live_transaction_become_hop_only_records() {
+        let mut rec = FlightRecorder::new(2, 2);
+        for t in [5, 6, 7] {
+            rec.apply(FlightEvent::Hop {
+                node: 1,
+                line: 64 * t,
+                hop: hop_at(t),
+            });
+        }
+        // The ring keeps the newest two and counts the third.
+        let kept: Vec<(u64, Cycle)> = rec.hop_only().map(|r| (r.line, r.hop.time)).collect();
+        assert_eq!(kept, [(384, 6), (448, 7)]);
+        assert_eq!(rec.hop_only_dropped(), 1);
+        // Neither the transaction ring nor its counts see them.
+        assert_eq!((rec.completed().count(), rec.dropped()), (0, 0));
+        assert_eq!(rec.spans().count(), 2);
+        rec.apply(FlightEvent::MeasureReset);
+        assert_eq!((rec.hop_only().count(), rec.hop_only_dropped()), (0, 0));
+    }
+
+    #[test]
+    fn close_frees_the_slot_and_keeps_the_hops() {
+        let mut rec = FlightRecorder::new(4, 1);
+        for i in 0..10u64 {
+            begin(&mut rec, 0, 0, 64, 100 * i);
+            rec.apply(FlightEvent::Hop {
+                node: 0,
+                line: 64,
+                hop: hop_at(100 * i + 1),
+            });
+            rec.apply(FlightEvent::Close { node: 0, line: 64 });
+        }
+        // No record, no count, and the one slot is reused every time.
+        assert_eq!(rec.transactions(), 0);
+        assert_eq!(rec.completed().count(), 0);
+        assert_eq!(rec.slots.len(), 1);
+        assert!(rec.live.is_empty());
+        let times: Vec<Cycle> = rec.hop_only().map(|r| r.hop.time).collect();
+        assert_eq!(times, [601, 701, 801, 901]);
+        // A superseded transaction's hops are kept the same way.
+        begin(&mut rec, 0, 0, 64, 2000);
+        rec.apply(FlightEvent::Hop {
+            node: 0,
+            line: 64,
+            hop: hop_at(2001),
+        });
+        begin(&mut rec, 0, 0, 64, 2100);
+        assert_eq!(rec.hop_only().last().unwrap().hop.time, 2001);
+        assert_eq!(rec.slots.len(), 1);
     }
 
     fn hop_at(time: Cycle) -> Hop {

@@ -13,9 +13,10 @@
 //! - [`ChromeTrace`] converts protocol-handler executions and timeline
 //!   counters into the Chrome `trace_event` JSON format that
 //!   `chrome://tracing` and Perfetto load directly;
-//! - [`FlightRecorder`] assigns every coherence transaction a stable id
-//!   and turns its causally-linked span events into an exact per-category
-//!   cycle decomposition (queueing, occupancy, bus, network, stall);
+//! - [`FlightRecorder`] records every protocol-handler execution,
+//!   assigns every coherence transaction a stable id, and turns its
+//!   causally-linked span events into an exact per-category cycle
+//!   decomposition (queueing, occupancy, bus, network, stall);
 //! - [`write_sidecar`] drops per-run metrics files next to a sweep's
 //!   checkpoints so `repro --jobs N` runs keep their distributions.
 //!

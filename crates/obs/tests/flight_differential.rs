@@ -1,19 +1,21 @@
 //! Differential test: the flight recorder's flat storage (live-slot
-//! slab, record ring, hop arena) against a straightforward reference
-//! recorder built from a `HashMap` of live transactions and a `VecDeque`
-//! of records that own their hops.
+//! slab, record ring, hop arena, hop-only ring) against a
+//! straightforward reference recorder built from a `HashMap` of live
+//! transactions, a `VecDeque` of records that own their hops, and a
+//! `VecDeque` of hop-only records.
 //!
-//! Every artifact the recorder feeds — `repro explain`, Chrome flows,
-//! blame sidecars — must be identical whichever storage holds the
+//! Every artifact the recorder feeds — `repro explain`, Chrome spans and
+//! flows, blame sidecars — must be identical whichever storage holds the
 //! records. Random event streams drive both recorders through the
 //! awkward cases: a `Begin` that supersedes a live transaction on the
-//! same key, events for keys nobody began, milestones past the fill or
-//! back in time, measurement resets with transactions in flight, and
-//! rings small enough to wrap many times (capacities 0, 1, 2, 7, 64).
+//! same key, hops and other events for keys nobody began, transactions
+//! closed without a record, milestones past the fill or back in time,
+//! measurement resets with transactions in flight, and rings small
+//! enough to wrap many times (capacities 0, 1, 2, 7, 64).
 
 use std::collections::{HashMap, VecDeque};
 
-use ccn_obs::flight::{BlameSummary, Category, FlightEvent, FlightRecorder, Hop, TxnId};
+use ccn_obs::flight::{BlameSummary, Category, FlightEvent, FlightRecorder, Hop, HopOnly, TxnId};
 use ccn_sim::{Cycle, SplitMix64};
 
 /// A completed transaction as the reference keeps it: hops owned.
@@ -48,8 +50,10 @@ struct ReferenceRecorder {
     next_seq: HashMap<u32, u32>,
     live: HashMap<(u16, u64), LiveTxn>,
     completed: VecDeque<Record>,
+    hop_only: VecDeque<HopOnly>,
     capacity: usize,
     dropped: u64,
+    hop_only_dropped: u64,
     transactions: u64,
     total_cycles: u64,
     component_cycles: [u64; 5],
@@ -61,8 +65,10 @@ impl ReferenceRecorder {
             next_seq: HashMap::new(),
             live: HashMap::new(),
             completed: VecDeque::new(),
+            hop_only: VecDeque::new(),
             capacity,
             dropped: 0,
+            hop_only_dropped: 0,
             transactions: 0,
             total_cycles: 0,
             component_cycles: [0; 5],
@@ -81,7 +87,7 @@ impl ReferenceRecorder {
                 let seq = self.next_seq.entry(proc).or_insert(0);
                 let id = TxnId { proc, seq: *seq };
                 *seq += 1;
-                self.live.insert(
+                let stale = self.live.insert(
                     (node, line),
                     LiveTxn {
                         id,
@@ -91,6 +97,9 @@ impl ReferenceRecorder {
                         hops: Vec::new(),
                     },
                 );
+                if let Some(stale) = stale {
+                    self.release(node, line, stale);
+                }
             }
             FlightEvent::Milestone {
                 node,
@@ -102,14 +111,18 @@ impl ReferenceRecorder {
                     txn.milestones.push((cat, time));
                 }
             }
-            FlightEvent::Hop { node, line, hop } => {
-                if let Some(txn) = self.live.get_mut(&(node, line)) {
-                    txn.hops.push(hop);
-                }
-            }
+            FlightEvent::Hop { node, line, hop } => match self.live.get_mut(&(node, line)) {
+                Some(txn) => txn.hops.push(hop),
+                None => self.push_hop_only(HopOnly { node, line, hop }),
+            },
             FlightEvent::Complete { node, line, time } => {
                 if let Some(txn) = self.live.remove(&(node, line)) {
                     self.finish(node, line, time, txn);
+                }
+            }
+            FlightEvent::Close { node, line } => {
+                if let Some(txn) = self.live.remove(&(node, line)) {
+                    self.release(node, line, txn);
                 }
             }
             FlightEvent::MeasureReset => {
@@ -117,8 +130,26 @@ impl ReferenceRecorder {
                 self.total_cycles = 0;
                 self.component_cycles = [0; 5];
                 self.dropped = 0;
+                self.hop_only_dropped = 0;
                 self.completed.clear();
+                self.hop_only.clear();
             }
+        }
+    }
+
+    fn push_hop_only(&mut self, rec: HopOnly) {
+        self.hop_only.push_back(rec);
+        if self.hop_only.len() > self.capacity {
+            self.hop_only.pop_front();
+            self.hop_only_dropped += 1;
+        }
+    }
+
+    /// A transaction that ends without a record leaves its hops behind
+    /// as hop-only records.
+    fn release(&mut self, node: u16, line: u64, txn: LiveTxn) {
+        for hop in txn.hops {
+            self.push_hop_only(HopOnly { node, line, hop });
         }
     }
 
@@ -217,6 +248,21 @@ fn compare(rec: &FlightRecorder, model: &ReferenceRecorder, rng: &mut SplitMix64
     let want: Vec<Record> = model.completed.iter().cloned().collect();
     assert_eq!(got, want, "retained records diverged {ctx}");
     assert_eq!(rec.dropped(), model.dropped, "dropped() {ctx}");
+    let got: Vec<HopOnly> = rec.hop_only().copied().collect();
+    let want_hop_only: Vec<HopOnly> = model.hop_only.iter().copied().collect();
+    assert_eq!(got, want_hop_only, "hop-only records diverged {ctx}");
+    assert_eq!(
+        rec.hop_only_dropped(),
+        model.hop_only_dropped,
+        "hop_only_dropped() {ctx}"
+    );
+    let got: Vec<(u64, Hop)> = rec.spans().map(|(line, hop)| (line, *hop)).collect();
+    let spans: Vec<(u64, Hop)> = want
+        .iter()
+        .flat_map(|r| r.hops.iter().map(|h| (r.line, *h)))
+        .chain(want_hop_only.iter().map(|r| (r.line, r.hop)))
+        .collect();
+    assert_eq!(got, spans, "spans() {ctx}");
     assert_eq!(
         rec.transactions(),
         model.transactions,
@@ -300,11 +346,12 @@ fn differential_run(seed: u64, capacity: usize, steps: u32) {
                     },
                 }
             }
-            80..=98 => FlightEvent::Complete {
+            80..=92 => FlightEvent::Complete {
                 node,
                 line,
                 time: now,
             },
+            93..=98 => FlightEvent::Close { node, line },
             _ => FlightEvent::MeasureReset,
         };
         rec.apply(event);

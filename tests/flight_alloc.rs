@@ -2,12 +2,12 @@
 //!
 //! The recorder is meant to be cheap enough to leave on. Its live table
 //! is sized when it is enabled, so in the measured phase the only heap
-//! traffic left is the completed ring and the hop arena doubling up to
-//! their working size: a few dozen allocations, not one per
-//! transaction. This binary installs its own counting global allocator,
-//! forwarding every allocation to [`ccn_sim::alloc_gate`], and holds
-//! quick Ocean on HWC and on 2PPC, with a large and a small ring, to
-//! that bound.
+//! traffic left is the completed ring, the hop arena and the hop-only
+//! ring doubling up to their working size: a few dozen allocations, not
+//! one per transaction. This binary installs its own counting global
+//! allocator, forwarding every allocation to [`ccn_sim::alloc_gate`],
+//! and holds quick Ocean on HWC and on 2PPC, with a large and a small
+//! ring, to that bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 

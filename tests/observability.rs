@@ -6,20 +6,20 @@
 //! `trace_event` document must be well-formed (parseable, monotone
 //! timestamps per track) so Perfetto loads it.
 
+use std::collections::BTreeMap;
+
 use ccn_harness::Json;
 use ccn_workloads::suite::SuiteApp;
 use ccnuma::experiments::{config_for, ConfigMods, Options};
 use ccnuma::{Architecture, Machine};
 
-/// One instrumented reference run: trace ring + sampler + flight
-/// recorder on.
+/// One instrumented reference run: sampler + flight recorder on.
 fn observed_run() -> Machine {
     let opts = Options::quick();
     let app = SuiteApp::OceanBase;
     let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
     let instance = app.instantiate(opts.scale);
     let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
-    machine.enable_trace(1 << 20);
     machine.enable_sampler(1000);
     machine.enable_flight_recorder(1 << 20);
     machine.run();
@@ -154,10 +154,20 @@ fn exported_trace_is_wellformed_with_monotone_timestamps_per_track() {
             other => panic!("unexpected event phase {other:?}"),
         }
     }
-    assert_eq!(spans, machine.trace().len(), "every ring event exported");
+    // One span per hop the recorder retains: transaction hops and
+    // hop-only records alike.
+    let recorder = machine.flight().expect("recorder on");
+    assert_eq!(
+        spans,
+        recorder.spans().count(),
+        "every retained hop exported"
+    );
+    assert!(
+        recorder.hop_only().count() > 0,
+        "reference run has hop-only records"
+    );
     // Every retained multi-hop transaction contributes one anchor per
     // hop; single-hop transactions have nothing to link.
-    let recorder = machine.flight().expect("recorder on");
     let expected_anchors: usize = recorder
         .completed()
         .map(|r| recorder.hops(r).len())
@@ -246,7 +256,6 @@ fn flight_recorder_is_identical_across_thread_counts() {
         let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
         let instance = app.instantiate(opts.scale);
         let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
-        machine.enable_trace(1 << 20);
         machine.enable_flight_recorder(1 << 20);
         let report = machine.run_parallel(threads);
         (machine, report)
@@ -284,6 +293,9 @@ fn flight_recorder_is_identical_across_thread_counts() {
         hops += ra.hops(x).len();
     }
     assert!(hops > a.len(), "reference run records multi-hop chains");
+    let (ha, hb): (Vec<_>, Vec<_>) = (ra.hop_only().collect(), rb.hop_only().collect());
+    assert_eq!(ha, hb, "hop-only records diverged");
+    assert!(!ha.is_empty(), "reference run records hop-only handlers");
 }
 
 #[test]
@@ -298,7 +310,6 @@ fn sparse_format_trace_is_identical_across_thread_counts() {
         let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
         let instance = app.instantiate(opts.scale);
         let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
-        machine.enable_trace(1 << 20);
         machine.enable_flight_recorder(1 << 20);
         machine.run_parallel(threads);
         machine
@@ -314,10 +325,92 @@ fn sparse_format_trace_is_identical_across_thread_counts() {
     // The sparse run actually exercised the recall path: its pressure
     // shows up as invalidation-request spans at the sharers.
     assert!(
-        seq.trace()
-            .iter()
-            .any(|ev| ev.handler.contains("invalidation request")),
+        seq.flight()
+            .unwrap()
+            .spans()
+            .any(|(_, hop)| hop.handler.contains("invalidation request")),
         "sparse:8 run produced no invalidation spans"
+    );
+}
+
+/// Runs `app` on `cfg` with a recorder ring large enough to drop
+/// nothing, sequentially or on two shard threads, checks that the
+/// recorder holds exactly one span per measured handler execution, and
+/// returns the handler counts.
+fn assert_spans_match_handler_counts(
+    name: &str,
+    cfg: ccnuma::SystemConfig,
+    app: &dyn ccn_workloads::Application,
+) -> Vec<(String, u64)> {
+    let mut handler_counts = Vec::new();
+    for threads in [1, 2] {
+        let mut machine = Machine::new(cfg.clone(), app).expect("valid config");
+        machine.enable_flight_recorder(1 << 20);
+        let report = machine.run_parallel(threads);
+        let recorder = machine.flight().expect("recorder on");
+        assert_eq!(
+            (recorder.dropped(), recorder.hop_only_dropped()),
+            (0, 0),
+            "{name}: the ring must not drop"
+        );
+        let mut spans: BTreeMap<&str, u64> = BTreeMap::new();
+        for (_, hop) in recorder.spans() {
+            *spans.entry(hop.handler).or_default() += 1;
+        }
+        let counts: BTreeMap<&str, u64> = report
+            .handler_counts
+            .iter()
+            .map(|(label, n)| (label.as_str(), *n))
+            .collect();
+        assert_eq!(spans, counts, "{name} at --threads {threads}");
+        handler_counts = report.handler_counts;
+    }
+    handler_counts
+}
+
+#[test]
+fn recorder_spans_cover_every_measured_handler() {
+    let opts = Options::quick();
+    let ocean = SuiteApp::OceanBase.instantiate(opts.scale);
+    for arch in Architecture::all() {
+        let cfg = config_for(SuiteApp::OceanBase, arch, opts, ConfigMods::default());
+        assert_spans_match_handler_counts(arch.name(), cfg, ocean.as_ref());
+    }
+    // Sparse-directory recalls: their invalidations and acks serve no
+    // live transaction, so they exercise the hop-only ring.
+    let sparse = opts.with_dir_format(ccn_protocol::DirFormat::parse("sparse:8").unwrap());
+    let cfg = config_for(
+        SuiteApp::OceanBase,
+        Architecture::Hwc,
+        sparse,
+        ConfigMods::default(),
+    );
+    assert_spans_match_handler_counts("sparse:8", cfg, ocean.as_ref());
+    let kv = ccn_scenario::Scenario::new(ccn_bench::golden::kv_mix_spec());
+    let cfg = ccn_scenario::scenario_config(Architecture::Ppc, 4, 2);
+    assert_spans_match_handler_counts("kv-mix 4x2", cfg, &kv);
+    // Without the direct data path, dirty remote evictions run a
+    // handler keyed to no transaction at the evicting node.
+    let mut cfg = config_for(
+        SuiteApp::OceanBase,
+        Architecture::Hwc,
+        opts,
+        ConfigMods::default(),
+    );
+    cfg.direct_data_path = false;
+    let evictions = ccn_workloads::micro::UniformSharing {
+        region_bytes: 4 * 1024 * 1024,
+        touches_per_proc: 4_000,
+        write_percent: 40,
+        work: 6,
+        seed: 11,
+    };
+    let counts = assert_spans_match_handler_counts("no direct path", cfg, &evictions);
+    assert!(
+        counts
+            .iter()
+            .any(|(label, n)| label.contains("no direct path") && *n > 0),
+        "the ablation ran no-direct-path write-backs: {counts:?}"
     );
 }
 

@@ -779,7 +779,7 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
     // dividing the processor grid on hundreds; size it to the machine.
     let instance: Box<dyn ccn_workloads::Application> =
         if opts.scale == ccn_workloads::suite::Scale::Tiny {
-            Box::new(ocean_for(cfg.nodes * cfg.procs_per_node))
+            Box::new(ccn_bench::ocean_for(cfg.nodes * cfg.procs_per_node))
         } else {
             app.instantiate(opts.scale)
         };
@@ -801,32 +801,6 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
         );
     }
     (out, true)
-}
-
-/// An Ocean instance whose grid tiles the machine's processor grid: the
-/// stock tiny data set (34×34) up to ~1k processors, with the interior
-/// growing past that so every tile stays non-empty.
-fn ocean_for(nprocs: usize) -> ccn_workloads::apps::Ocean {
-    use ccn_workloads::apps::Ocean;
-    // Mirrors the workload layer's internal processor-grid layout.
-    let mut rows = (nprocs as f64).sqrt() as usize;
-    while rows > 1 && !nprocs.is_multiple_of(rows) {
-        rows -= 1;
-    }
-    let cols = nprocs / rows;
-    let gcd = {
-        let (mut a, mut b) = (rows, cols);
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    };
-    let lcm = rows / gcd * cols;
-    let interior = lcm * 32usize.div_ceil(lcm);
-    Ocean {
-        grid: interior + 2,
-        ..Ocean::tiny()
-    }
 }
 
 /// The `stats` target: the component stats spine with the cycle sampler

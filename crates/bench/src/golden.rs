@@ -15,7 +15,8 @@
 //! * the contended timing of whole runs: exec cycles, controller
 //!   queueing delay and functional digest of every Table 6 application
 //!   on all four architectures at the quick scale, plus twins of the
-//!   host-time benchmark's slow-network and key-value machines.
+//!   host-time benchmark's slow-network and key-value machines and the
+//!   1024-node machine of the scaling study.
 //!
 //! Any simulator change that moves one of these shows up as a diff with
 //! the offending line. When the change is intentional, regenerate the
@@ -107,8 +108,9 @@ fn conformance_digests() -> String {
 /// the controller queueing-delay distribution's count and integer sum,
 /// and the functional digest of the end state. The runs are every
 /// Table 6 application on all four architectures at the quick scale,
-/// tiny Ocean on the 32x2 HWC machine with the slow network, and a 4x2
-/// PPC twin of the key-value benchmark mix.
+/// tiny Ocean on the 32x2 HWC machine with the slow network, a 4x2 PPC
+/// twin of the key-value benchmark mix, and the largest machine: tiny
+/// Ocean on 1024x4 HWC.
 fn contended_timing() -> String {
     let mut out = String::new();
     let mut run = |name: &str, cfg: SystemConfig, app: &dyn Application| {
@@ -154,6 +156,22 @@ fn contended_timing() -> String {
         "kv-mix-0-4x2",
         scenario_config(Architecture::Ppc, 4, 2),
         &Scenario::new(kv_mix_spec()),
+    );
+    // The machine `repro run --nodes 1024 --arch hwc` builds.
+    let largest = Options {
+        scale: Scale::Tiny,
+        nodes: 1024,
+        ..Options::repro()
+    };
+    run(
+        "OceanBase-1024x4",
+        config_for(
+            SuiteApp::OceanBase,
+            Architecture::Hwc,
+            largest,
+            ConfigMods::default(),
+        ),
+        &crate::ocean_for(1024 * largest.procs_per_node),
     );
     out
 }

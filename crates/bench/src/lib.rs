@@ -161,6 +161,33 @@ pub fn artifact_stamp(target: &str, opts: &Options, revision: &str) -> String {
     )
 }
 
+/// An Ocean instance whose grid tiles the machine's processor grid: the
+/// stock tiny data set (34×34) up to ~1k processors, with the interior
+/// growing past that so every tile stays non-empty. `repro run` uses it
+/// on machines past the paper's 16 nodes.
+pub fn ocean_for(nprocs: usize) -> ccn_workloads::apps::Ocean {
+    use ccn_workloads::apps::Ocean;
+    // Mirrors the workload layer's internal processor-grid layout.
+    let mut rows = (nprocs as f64).sqrt() as usize;
+    while rows > 1 && !nprocs.is_multiple_of(rows) {
+        rows -= 1;
+    }
+    let cols = nprocs / rows;
+    let gcd = {
+        let (mut a, mut b) = (rows, cols);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let lcm = rows / gcd * cols;
+    let interior = lcm * 32usize.div_ceil(lcm);
+    Ocean {
+        grid: interior + 2,
+        ..Ocean::tiny()
+    }
+}
+
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
 /// when git (or the repository) is unavailable.
 pub fn git_describe() -> String {

@@ -3,7 +3,7 @@
 //! Multiprocessors* (ISCA 1997).
 //!
 //! ```text
-//! repro [--quick | --paper] [--jobs N] [--threads N] [--fresh] [--out DIR] <target>...
+//! repro [--quick | --paper] [--jobs N] [--fresh] [--out DIR] <target>...
 //!
 //! targets: table1 table2 table3 table4 table5 table6 table7
 //!          fig6 fig7 fig8 fig9 fig10 fig11 fig12
@@ -68,8 +68,8 @@
 //! network and protocol-stall components — followed by the machine-wide
 //! blame table (per-component shares of all and of p99-tail miss
 //! cycles). `--txn ID` explains one transaction by its stable id
-//! (e.g. `P3#17`) instead. Output is byte-identical across reruns and
-//! `--threads N`. See `docs/OBSERVABILITY.md`.
+//! (e.g. `P3#17`) instead. Output is byte-identical across reruns. See
+//! `docs/OBSERVABILITY.md`.
 //!
 //! The default scale runs the full 16×4 machine with scaled-down data sets
 //! (minutes); `--paper` uses the paper's Table 5 sizes (hours); `--quick`
@@ -88,19 +88,15 @@
 //! simulated job; `--blame` additionally records each run's transaction
 //! flight and stamps a per-component blame summary into the sidecar.
 //!
-//! Orthogonally, `--threads N` runs each *individual* simulation on the
-//! conservative-parallel execution core (`Machine::run_parallel`): the
-//! machine is partitioned along the node boundary and advanced in
-//! lookahead-bounded windows on N threads. Every artifact — tables,
-//! goldens, timelines, traces, metrics sidecars — stays byte-identical
-//! to the sequential schedule for any N. See `docs/PARALLEL.md`.
+//! An unknown `--flag` is a usage error (exit 2).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use ccn_bench::{
     artifact_path, artifact_stamp, checkpoint_path, default_targets, git_describe, golden,
-    jobs_from_flags, options_from_flags, scale_name, sweep_name, SWEEP_TARGETS, TARGETS,
+    jobs_from_flags, options_from_flags, scale_name, sweep_name, unknown_flag, SWEEP_TARGETS,
+    TARGETS,
 };
 use ccn_harness::{Json, SweepSummary};
 use ccn_workloads::suite::SuiteApp;
@@ -190,9 +186,12 @@ fn main() {
     if positional_targets(&args).first() == Some(&"scenario") {
         std::process::exit(ccn_bench::scenario_cli::run(&args));
     }
+    if let Some(flag) = unknown_flag(&args, VALUE_FLAGS, SWITCHES) {
+        eprintln!("unknown flag '{flag}'");
+        std::process::exit(2);
+    }
     let opts = options_from_flags(&args);
     let jobs = jobs_from_flags(&args);
-    let sim_threads = (uint_flag(&args, "--threads", 1) as usize).max(1);
     let fresh = args.iter().any(|a| a == "--fresh");
     let out_dir = flag_value(&args, "--out");
     if let Some(dir) = &out_dir {
@@ -221,7 +220,7 @@ fn main() {
     let mut failed = false;
     let mut totals = Totals::default();
     for target in targets {
-        let runner = sweep_runner(target, opts, jobs, sim_threads, &revision, fresh, &args);
+        let runner = sweep_runner(target, opts, jobs, &revision, fresh, &args);
         let start = Instant::now();
         let output = render_target(target, opts, jobs, &args, runner.as_ref(), &mut failed);
         print!("{output}");
@@ -265,11 +264,21 @@ const VALUE_FLAGS: &[&str] = &[
     "--trace",
     "--arch",
     "--metrics",
-    "--threads",
     "--dir-format",
     "--ring-capacity",
     "--top",
     "--txn",
+];
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &[
+    "--quick",
+    "--paper",
+    "--fresh",
+    "--timeline",
+    "--blame",
+    "--bless",
+    "--obs",
 ];
 
 /// The non-flag arguments, with every value flag's value skipped.
@@ -309,7 +318,6 @@ fn sweep_runner(
     target: &str,
     opts: Options,
     jobs: usize,
-    sim_threads: usize,
     revision: &str,
     fresh: bool,
     args: &[String],
@@ -323,7 +331,6 @@ fn sweep_runner(
         let _ = std::fs::remove_file(&path);
     }
     let mut runner = Runner::parallel(opts, jobs)
-        .with_sim_threads(sim_threads)
         .with_checkpoint(path)
         .with_meta(vec![
             ("sweep", Json::Str(sweep.to_string())),
@@ -421,17 +428,10 @@ fn render_target(
         ),
         "summary" => {
             // Full per-run diagnostics for the headline comparison.
-            use ccnuma::experiments::{run_one_threaded, ConfigMods};
+            use ccnuma::experiments::{run_one, ConfigMods};
             use ccnuma::Architecture;
-            let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
             for arch in [Architecture::Hwc, Architecture::Ppc] {
-                let report = run_one_threaded(
-                    SuiteApp::OceanBase,
-                    arch,
-                    opts,
-                    ConfigMods::default(),
-                    threads,
-                );
+                let report = run_one(SuiteApp::OceanBase, arch, opts, ConfigMods::default());
                 render(&mut out, report.render_summary());
             }
         }
@@ -707,7 +707,6 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
     use ccnuma::experiments::{config_for, ConfigMods};
     use ccnuma::Architecture;
     let mut out = String::new();
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let nodes = uint_flag(args, "--nodes", opts.nodes as u64) as usize;
     let format = match flag_value(args, "--dir-format") {
         None => opts.dir_format,
@@ -787,7 +786,7 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
         let cfg = config_for(app, arch, opts, ConfigMods::default());
         let mut machine =
             ccnuma::Machine::new(cfg, instance.as_ref()).expect("configuration validated above");
-        let report = machine.run_parallel(threads);
+        let report = machine.run();
         let _ = writeln!(
             out,
             "{:<6} {:>12} {:>10.1} {:>11.2} {:>6.1} {:>10.0} {:>13}",
@@ -807,10 +806,9 @@ fn run_target(opts: Options, args: &[String]) -> (String, bool) {
 /// on; `--timeline` additionally dumps the columnar time series as JSON.
 fn run_stats_target(opts: Options, args: &[String]) -> String {
     let every = uint_flag(args, "--sample-every", 1000);
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let mut machine = obs_machine(opts);
     machine.enable_sampler(every);
-    machine.run_parallel(threads);
+    machine.run();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -838,12 +836,11 @@ fn run_stats_target(opts: Options, args: &[String]) -> String {
 /// document.
 fn run_trace_target(opts: Options, args: &[String]) -> String {
     let every = uint_flag(args, "--sample-every", 1000);
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let capacity = (uint_flag(args, "--ring-capacity", 1 << 20) as usize).max(1);
     let mut machine = obs_machine(opts);
     machine.enable_flight_recorder(capacity);
     machine.enable_sampler(every);
-    machine.run_parallel(threads);
+    machine.run();
     let mut out = String::new();
     let path = obs_artifact(args, "trace", opts);
     std::fs::write(&path, machine.chrome_trace().render_pretty())
@@ -876,10 +873,9 @@ fn run_trace_target(opts: Options, args: &[String]) -> String {
 fn run_explain_target(opts: Options, args: &[String]) -> String {
     let top = (uint_flag(args, "--top", 5) as usize).max(1);
     let capacity = (uint_flag(args, "--ring-capacity", 1 << 20) as usize).max(1);
-    let threads = (uint_flag(args, "--threads", 1) as usize).max(1);
     let mut machine = obs_machine(opts);
     machine.enable_flight_recorder(capacity);
-    machine.run_parallel(threads);
+    machine.run();
     let recorder = machine.flight().expect("flight recorder was enabled");
     let blame = recorder.blame();
     let mut out = String::new();

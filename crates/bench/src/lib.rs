@@ -6,12 +6,10 @@
 //!   (`cargo run --release -p ccn-bench --bin repro -- all`), sweeping
 //!   simulations on a worker pool (`--jobs N`) with incremental
 //!   checkpoints under `results/`;
-//! * wall-clock benches (`cargo bench -p ccn-bench --features
-//!   criterion-benches`) measuring the simulator itself and timing
-//!   reduced-scale versions of each experiment.
+//! * the `repro bench` cases ([`perf`]) and the golden anchors
+//!   ([`golden`]).
 //!
-//! The library portion holds the shared CLI plumbing and the in-tree
-//! [`timing`] module the benches use.
+//! The library portion holds the shared CLI plumbing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,7 +17,6 @@
 pub mod golden;
 pub mod perf;
 pub mod scenario_cli;
-pub mod timing;
 
 use ccn_workloads::suite::Scale;
 use ccnuma::experiments::Options;
@@ -110,6 +107,27 @@ pub fn jobs_from_flags(args: &[String]) -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .map(|n| n.max(1))
         .unwrap_or_else(ccn_harness::default_workers)
+}
+
+/// The first `--flag` in `args` that is neither one of `value_flags`
+/// (whose values are skipped) nor one of `switches`.
+pub fn unknown_flag<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Option<&'a str> {
+    let mut skip_value = false;
+    for a in args {
+        if std::mem::take(&mut skip_value) {
+            continue;
+        }
+        if value_flags.contains(&a.as_str()) {
+            skip_value = true;
+        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
+            return Some(a);
+        }
+    }
+    None
 }
 
 /// Human-readable description of the scale in use.
@@ -217,6 +235,23 @@ mod tests {
         assert_eq!(
             scale_name(&options_from_flags(&s(&["--quick"]))),
             "tiny data sets (--quick)"
+        );
+    }
+
+    #[test]
+    fn unknown_flags_are_found_and_values_skipped() {
+        let (values, switches) = (&["--out"][..], &["--quick"][..]);
+        assert_eq!(
+            unknown_flag(&s(&["--quick", "fig6"]), values, switches),
+            None
+        );
+        assert_eq!(
+            unknown_flag(&s(&["--out", "--x", "fig6"]), values, switches),
+            None
+        );
+        assert_eq!(
+            unknown_flag(&s(&["fig6", "--bogus", "2"]), values, switches),
+            Some("--bogus")
         );
     }
 

@@ -216,7 +216,6 @@ pub fn run_bench(quick: bool, obs: bool, revision: &str) -> BenchReport {
             }
         }
     }
-    cases.extend(bench_parallel_speedup(quick));
     BenchReport {
         mode: match (quick, obs) {
             (true, false) => "quick",
@@ -407,65 +406,6 @@ fn bench_end_to_end(quick: bool, obs: bool) -> CaseResult {
     }
 }
 
-/// Conservative-parallel speedup: a big-machine sweep point (Ocean on
-/// HWC, 32 nodes x 2 processors on the 1 µs network, whose larger
-/// lookahead window keeps the barrier fraction low; quick scale for the
-/// smoke gate) run sequentially and then on two shards, reported as
-/// wall-clock speedup in milli-x (2000 = 2.0x) so the baseline gate can
-/// hold a hard floor. Skipped — absent from the report and therefore
-/// from the gate — on machines without at least two cores, where the
-/// measurement would be meaningless.
-fn bench_parallel_speedup(quick: bool) -> Option<CaseResult> {
-    if std::thread::available_parallelism().map_or(true, |n| n.get() < 2) {
-        eprintln!("[bench] parallel_speedup_2t skipped: fewer than two cores available");
-        return None;
-    }
-    let opts = if quick {
-        Options {
-            nodes: 32,
-            procs_per_node: 2,
-            ..Options::quick()
-        }
-    } else {
-        Options {
-            nodes: 32,
-            procs_per_node: 2,
-            ..Options::repro()
-        }
-    };
-    let mods = ConfigMods {
-        slow_net: true,
-        ..ConfigMods::default()
-    };
-    let app = SuiteApp::OceanBase;
-    let cfg = config_for(app, Architecture::Hwc, opts, mods);
-    let instance = app.instantiate(opts.scale);
-    let mut seq = Machine::new(cfg.clone(), instance.as_ref()).expect("bench config is valid");
-    let start = Instant::now();
-    let seq_report = seq.run();
-    let seq_secs = start.elapsed().as_secs_f64();
-    let mut par = Machine::new(cfg, instance.as_ref()).expect("bench config is valid");
-    let start = Instant::now();
-    let par_report = par.run_parallel(2);
-    let par_secs = start.elapsed().as_secs_f64();
-    assert_eq!(
-        seq_report.exec_cycles, par_report.exec_cycles,
-        "the parallel run must be identical to the sequential one"
-    );
-    let speedup = if par_secs > 0.0 {
-        seq_secs / par_secs
-    } else {
-        0.0
-    };
-    Some(CaseResult {
-        name: "parallel_speedup_2t",
-        unit: "milli-x",
-        work: (speedup * 1000.0).round() as u64,
-        secs: 1.0,
-        measured_allocs: None,
-    })
-}
-
 /// Peak resident set size of this process in bytes (Linux `VmHWM`;
 /// `None` elsewhere).
 pub fn peak_rss_bytes() -> Option<u64> {
@@ -478,37 +418,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[ignore = "profiling aid: run with --release --ignored to size the speedup case"]
-    fn profile_parallel_configs() {
-        for (nodes, ppn, slow) in [(16, 4, false), (16, 4, true), (32, 2, true), (32, 4, true)] {
-            let opts = Options {
-                nodes,
-                procs_per_node: ppn,
-                ..Options::repro()
-            };
-            let mods = ConfigMods {
-                slow_net: slow,
-                ..ConfigMods::default()
-            };
-            let app = SuiteApp::OceanBase;
-            let cfg = config_for(app, Architecture::Hwc, opts, mods);
-            let instance = app.instantiate(opts.scale);
-            let mut seq = Machine::new(cfg.clone(), instance.as_ref()).expect("valid");
-            let t0 = Instant::now();
-            let seq_report = seq.run();
-            let seq_secs = t0.elapsed().as_secs_f64();
-            let mut par = Machine::new(cfg, instance.as_ref()).expect("valid");
-            let t0 = Instant::now();
-            let par_report = par.run_parallel(2);
-            let par_secs = t0.elapsed().as_secs_f64();
-            assert_eq!(seq_report.exec_cycles, par_report.exec_cycles);
-            eprintln!(
-                "[cfg] nodes={nodes} ppn={ppn} slow_net={slow}: seq={seq_secs:.2}s par2={par_secs:.2}s"
-            );
-        }
-    }
 
     #[test]
     fn cases_produce_positive_throughput() {

@@ -39,18 +39,18 @@ use crate::{git_describe, jobs_from_flags, options_from_flags};
 const RECORD_OP_LIMIT: u64 = 50_000_000;
 
 /// Flags of the scenario CLI that consume a value.
-const VALUE_FLAGS: &[&str] = &[
-    "--jobs",
-    "--trace",
-    "--arch",
-    "--metrics",
-    "--out",
-    "--threads",
-];
+const VALUE_FLAGS: &[&str] = &["--jobs", "--trace", "--arch", "--metrics", "--out"];
+
+/// Flags of the scenario CLI that take no value.
+const SWITCHES: &[&str] = &["--quick", "--paper", "--fresh", "--check"];
 
 /// Entry point: parses `args` (the full argument list, starting at the
 /// `scenario` keyword) and returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
+    if let Some(flag) = crate::unknown_flag(args, VALUE_FLAGS, SWITCHES) {
+        eprintln!("unknown flag '{flag}'");
+        return 2;
+    }
     let positionals = positionals(args);
     debug_assert_eq!(positionals.first().copied(), Some("scenario"));
     let Some(&sub) = positionals.get(1) else {
@@ -203,19 +203,12 @@ fn cmd_check(operands: &[&str]) -> i32 {
 fn cmd_run(operands: &[&str], args: &[String]) -> i32 {
     if operands.is_empty() {
         eprintln!(
-            "usage: repro scenario run SPEC... [--quick|--paper] [--jobs N] [--threads N] [--fresh] [--metrics DIR]"
+            "usage: repro scenario run SPEC... [--quick|--paper] [--jobs N] [--fresh] [--metrics DIR]"
         );
         return 2;
     }
     let opts = options_from_flags(args);
     let jobs = jobs_from_flags(args);
-    let sim_threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
     let fresh = args.iter().any(|a| a == "--fresh");
     let metrics_dir = flag_value(args, "--metrics").map(PathBuf::from);
     let revision = git_describe();
@@ -233,7 +226,6 @@ fn cmd_run(operands: &[&str], args: &[String]) -> i32 {
             let _ = std::fs::remove_file(&checkpoint);
         }
         let runner = Runner::parallel(opts, jobs)
-            .with_sim_threads(sim_threads)
             .with_checkpoint(&checkpoint)
             .with_meta(vec![
                 ("sweep", Json::Str(format!("scenario-{}", spec.name))),

@@ -25,12 +25,10 @@
 //! (oldest dropped and counted), so goldens and digests are
 //! byte-identical with it on or off.
 //!
-//! Determinism rules: events are applied in the simulator's canonical
-//! event order (parallel shards buffer events per window and the barrier
-//! merges them in sequential order), ids are assigned per-processor in
-//! issue order, and every query sorts with total tie-breaks — so all
-//! artifacts derived from the recorder are byte-identical across reruns,
-//! `--jobs` counts, and `--threads N`.
+//! Determinism rules: events are applied in the simulator's event order,
+//! ids are assigned per-processor in issue order, and every query sorts
+//! with total tie-breaks — so all artifacts derived from the recorder are
+//! byte-identical across reruns and `--jobs` counts.
 
 use ccn_harness::Json;
 use ccn_sim::{Cycle, FxHashMap};

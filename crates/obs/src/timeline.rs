@@ -264,11 +264,6 @@ impl Sampler {
         }
     }
 
-    /// The sampling cadence in cycles.
-    pub fn cadence(&self) -> Cycle {
-        self.every
-    }
-
     /// Re-arms at the start of the measured phase: discards warm-up
     /// samples and schedules the next sample `every` cycles after `now`.
     pub fn arm(&mut self, now: Cycle) {
@@ -280,13 +275,6 @@ impl Sampler {
     /// caller follows up with [`record`](Sampler::record)).
     pub fn due_at(&self, now: Cycle) -> Option<Cycle> {
         (self.next_due <= now).then_some(self.next_due)
-    }
-
-    /// The cycle of the next scheduled sample. Parallel execution caps
-    /// its time windows at this cycle so samples are taken at the exact
-    /// merged machine state the sequential schedule would observe.
-    pub fn next_due(&self) -> Cycle {
-        self.next_due
     }
 
     /// Records one sample at cycle `at` and schedules the next.

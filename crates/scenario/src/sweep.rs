@@ -188,11 +188,10 @@ pub fn run_scenario_conformance(
         .map(|&arch| (scenario_job_id(spec, nodes, ppn, arch), arch))
         .collect();
     let metrics_dir = metrics_dir.map(Path::to_path_buf);
-    let sim_threads = runner.sim_threads();
     let records: Vec<ScenarioRecord> = runner.run_keyed(jobs, |&arch| {
         let cfg = scenario_config(arch, nodes, ppn);
         let mut machine = Machine::new(cfg, &scenario).expect("valid scenario config");
-        let report = machine.run_parallel_with_event_limit(sim_threads, SCENARIO_EVENT_LIMIT);
+        let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
         machine.check_quiescent().unwrap_or_else(|e| {
             panic!(
                 "scenario '{}' on {}: invariant violated: {e}",

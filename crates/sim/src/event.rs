@@ -26,9 +26,6 @@ const WHEEL_MASK: Cycle = WHEEL_SPAN - 1;
 /// Events are delivered in non-decreasing timestamp order; events scheduled
 /// for the same cycle are delivered in the order they were scheduled (FIFO).
 /// This makes every simulation run bit-for-bit reproducible.
-/// [`insert_by`](Self::insert_by) places an event at an explicit position
-/// within its cycle instead, for callers that keep each cycle's events
-/// sorted by a key of their own.
 ///
 /// The payload type `E` is chosen by the simulator that owns the queue; the
 /// engine itself attaches no meaning to it.
@@ -102,39 +99,13 @@ struct Slot<E> {
     next: u32,
 }
 
-/// The event in an occupied slot.
-fn event_at<E>(slab: &[Slot<E>], idx: u32) -> &E {
-    slab[idx as usize]
-        .event
-        .as_ref()
-        .expect("listed slot is occupied")
-}
-
-/// Links slot `idx` into `list` behind the leading run of entries for
-/// which `behind` holds. Appending, the common case, only tests the tail.
-fn link<E>(slab: &mut [Slot<E>], list: &mut List, idx: u32, mut behind: impl FnMut(&E) -> bool) {
-    let (head, tail) = *list;
-    if tail == NIL {
+/// Appends slot `idx` to the tail of `list`.
+fn append<E>(slab: &mut [Slot<E>], list: &mut List, idx: u32) {
+    if list.1 == NIL {
         *list = (idx, idx);
-    } else if behind(event_at(slab, tail)) {
-        slab[tail as usize].next = idx;
-        list.1 = idx;
-    } else if !behind(event_at(slab, head)) {
-        slab[idx as usize].next = head;
-        list.0 = idx;
     } else {
-        // `behind` holds at the head and fails at the tail: find the
-        // last entry it holds for.
-        let mut prev = head;
-        loop {
-            let next = slab[prev as usize].next;
-            if !behind(event_at(slab, next)) {
-                break;
-            }
-            prev = next;
-        }
-        slab[idx as usize].next = slab[prev as usize].next;
-        slab[prev as usize].next = idx;
+        slab[list.1 as usize].next = idx;
+        list.1 = idx;
     }
 }
 
@@ -185,8 +156,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at absolute cycle `time`, behind every
-    /// event already pending at that cycle. Returns the event's slot for
-    /// [`get_mut`](Self::get_mut).
+    /// event already pending at that cycle.
     ///
     /// # Panics
     ///
@@ -194,21 +164,7 @@ impl<E> EventQueue<E> {
     /// simulator that schedules into the past has a causality bug and must
     /// fail loudly rather than silently reorder history.
     #[inline]
-    pub fn schedule(&mut self, time: Cycle, event: E) -> u32 {
-        self.insert_by(time, event, |_| true)
-    }
-
-    /// Schedules `event` at `time` behind the leading run of that cycle's
-    /// pending events for which `behind` holds, and ahead of the rest.
-    /// `behind` must hold for a prefix of the cycle's events and fail for
-    /// the remainder, as for [`slice::partition_point`] — for example
-    /// `key <= new key` over events kept sorted by key. Returns the
-    /// event's slot for [`get_mut`](Self::get_mut).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is in the past, like [`schedule`](Self::schedule).
-    pub fn insert_by(&mut self, time: Cycle, event: E, behind: impl FnMut(&E) -> bool) -> u32 {
+    pub fn schedule(&mut self, time: Cycle, event: E) {
         assert!(
             time >= self.now,
             "event scheduled at cycle {time} but the clock is already at {}",
@@ -233,15 +189,7 @@ impl<E> EventQueue<E> {
             *len += 1;
             list
         };
-        link(&mut self.slab, list, idx, behind);
-        idx
-    }
-
-    /// The pending event in `slot` (as returned when it was scheduled), or
-    /// `None` once it has popped. A popped event's slot is reused by later
-    /// insertions.
-    pub fn get_mut(&mut self, slot: u32) -> Option<&mut E> {
-        self.slab.get_mut(slot as usize)?.event.as_mut()
+        append(&mut self.slab, list, idx);
     }
 
     /// The earliest pending cycle and the first slot of its list.
@@ -267,14 +215,7 @@ impl<E> EventQueue<E> {
     /// clock to its timestamp. Returns `None` when the queue is empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.pop_before(Cycle::MAX)
-    }
-
-    /// Like [`pop`](Self::pop), but only for an event strictly before
-    /// `end`; otherwise returns `None` and leaves the queue, clock
-    /// included, unchanged.
-    pub fn pop_before(&mut self, end: Cycle) -> Option<(Cycle, E)> {
-        let (time, head) = self.first().filter(|&(t, _)| t < end)?;
+        let (time, head) = self.first()?;
         self.now = time;
         // Far cycles now inside the window move into their buckets, which
         // are empty: an earlier cycle sharing one would be in the past.
@@ -301,12 +242,6 @@ impl<E> EventQueue<E> {
         self.free = head;
         self.wheel_len -= 1;
         Some((time, event))
-    }
-
-    /// The next event [`pop`](Self::pop) would return, without removing it.
-    pub fn peek(&self) -> Option<(Cycle, &E)> {
-        self.first()
-            .map(|(t, head)| (t, event_at(&self.slab, head)))
     }
 
     /// The timestamp of the next pending event, if any.
@@ -344,39 +279,6 @@ impl<E> EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A destination for scheduled events.
-///
-/// The sequential [`EventQueue`] is the canonical sink; the parallel
-/// execution mode substitutes a shard-local wheel
-/// ([`crate::par::ShardWheel`]-backed) behind the same interface, so
-/// model code that schedules through a [`crate::Port`] (or directly
-/// through this trait) is oblivious to which engine is running it.
-pub trait ScheduleSink<E> {
-    /// Schedules `event` for delivery at cycle `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the sink's past (same contract as
-    /// [`EventQueue::schedule`]).
-    fn schedule(&mut self, at: Cycle, event: E);
-
-    /// The sink's current cycle: the delivery time of the most recently
-    /// popped event.
-    fn now(&self) -> Cycle;
-}
-
-impl<E> ScheduleSink<E> for EventQueue<E> {
-    #[inline]
-    fn schedule(&mut self, at: Cycle, event: E) {
-        EventQueue::schedule(self, at, event);
-    }
-
-    #[inline]
-    fn now(&self) -> Cycle {
-        EventQueue::now(self)
     }
 }
 
@@ -456,7 +358,7 @@ mod tests {
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((5, "near")));
         // The wheel is empty: the clock must jump, not scan a million slots.
-        assert_eq!(q.peek(), Some((999_999, &"far-a")));
+        assert_eq!(q.peek_time(), Some(999_999));
         assert_eq!(q.pop(), Some((999_999, "far-a")));
         assert_eq!(q.pop(), Some((1_000_000, "far-b")));
         assert_eq!(q.pop(), Some((1_000_000, "far-c")));
@@ -488,55 +390,6 @@ mod tests {
         q.schedule(WHEEL_SPAN, "first-beyond");
         assert_eq!(q.pop(), Some((WHEEL_SPAN - 1, "last-in-window")));
         assert_eq!(q.pop(), Some((WHEEL_SPAN, "first-beyond")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn insert_by_places_events_within_their_cycle() {
-        let mut q = EventQueue::new();
-        let far = 5 * WHEEL_SPAN;
-        for t in [7, far] {
-            q.schedule(t, 20);
-            q.schedule(t, 40);
-            q.insert_by(t, 30, |&e| e <= 30); // between
-            q.insert_by(t, 10, |&e| e <= 10); // ahead of all
-            q.insert_by(t, 50, |&e| e <= 50); // behind all
-        }
-        for t in [7, far] {
-            for e in [10, 20, 30, 40, 50] {
-                assert_eq!(q.pop(), Some((t, e)));
-            }
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn get_mut_reaches_pending_events_near_and_far() {
-        let mut q = EventQueue::new();
-        let near = q.schedule(3, 'a');
-        let far = q.schedule(10 * WHEEL_SPAN, 'b');
-        *q.get_mut(near).unwrap() = 'x';
-        *q.get_mut(far).unwrap() = 'y';
-        assert_eq!(q.pop(), Some((3, 'x')));
-        assert_eq!(q.get_mut(near), None, "popped slot is free");
-        assert_eq!(q.pop(), Some((10 * WHEEL_SPAN, 'y')));
-    }
-
-    #[test]
-    fn refused_pop_before_leaves_the_clock_for_near_schedules() {
-        // Only far events pending: a refused `pop_before` must not jump
-        // the clock to them, or scheduling just after `now` would land
-        // behind the window.
-        let mut q = EventQueue::new();
-        q.schedule(10, "near");
-        assert_eq!(q.pop(), Some((10, "near")));
-        q.schedule(10 + 4 * WHEEL_SPAN, "far");
-        assert_eq!(q.pop_before(11 + WHEEL_SPAN), None);
-        assert_eq!(q.now(), 10);
-        q.schedule(11, "next");
-        assert_eq!(q.pop_before(12), Some((11, "next")));
-        assert_eq!(q.pop_before(12), None);
-        assert_eq!(q.pop(), Some((10 + 4 * WHEEL_SPAN, "far")));
         assert_eq!(q.pop(), None);
     }
 }

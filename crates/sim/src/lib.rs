@@ -49,7 +49,6 @@ pub mod alloc_gate;
 pub mod component;
 mod event;
 pub mod hash;
-pub mod par;
 pub mod pool;
 mod port;
 mod rng;
@@ -57,7 +56,7 @@ mod server;
 pub mod stats;
 
 pub use component::{Component, ComponentStats};
-pub use event::{EventQueue, ScheduleSink};
+pub use event::EventQueue;
 pub use hash::{FxHashMap, FxHashSet};
 pub use port::Port;
 pub use rng::SplitMix64;

@@ -2,9 +2,8 @@
 //! straightforward sorted-map reference model.
 //!
 //! The queue's contract — non-decreasing delivery times, FIFO among
-//! same-cycle events, ordered placement by `insert_by`, `pop_before`
-//! refusing without side effects, panic on scheduling into the past —
-//! is what every golden anchor and conformance digest in this repository
+//! same-cycle events, panic on scheduling into the past — is what every
+//! golden anchor and conformance digest in this repository
 //! implicitly depends on. The bucketed implementation is exercised here
 //! with randomized schedules designed to hit its interesting regimes:
 //! dense same-cycle ties, jitter inside the wheel window, far-future
@@ -25,19 +24,14 @@ struct ReferenceQueue {
 }
 
 impl ReferenceQueue {
-    fn insert_by(&mut self, time: Cycle, event: u64, behind: impl FnMut(&u64) -> bool) {
+    fn schedule(&mut self, time: Cycle, event: u64) {
         assert!(time >= self.now);
-        let list = self.cycles.entry(time).or_default();
-        list.insert(list.partition_point(behind), event);
+        self.cycles.entry(time).or_default().push_back(event);
         self.len += 1;
     }
 
-    fn schedule(&mut self, time: Cycle, event: u64) {
-        self.insert_by(time, event, |_| true);
-    }
-
-    fn pop_before(&mut self, end: Cycle) -> Option<(Cycle, u64)> {
-        let mut first = self.cycles.first_entry().filter(|e| *e.key() < end)?;
+    fn pop(&mut self) -> Option<(Cycle, u64)> {
+        let mut first = self.cycles.first_entry()?;
         let time = *first.key();
         let event = first.get_mut().pop_front().expect("no empty cycle is kept");
         if first.get().is_empty() {
@@ -47,19 +41,11 @@ impl ReferenceQueue {
         self.len -= 1;
         Some((time, event))
     }
-
-    fn pop(&mut self) -> Option<(Cycle, u64)> {
-        self.pop_before(Cycle::MAX)
-    }
 }
 
-/// Runs `ops` random insert/pop steps on both queues and checks that
-/// every pop returns the identical `(time, event)` pair.
-///
-/// Events are `key << 32 | id` with a unique `id`. Plain schedules use
-/// `key = id`, larger than every pending event's, and `insert_by` places
-/// a random smaller key by `event < new`, so every cycle's events stay
-/// sorted and the ordered insert has a well-defined position.
+/// Runs `ops` random schedule/pop steps on both queues and checks that
+/// every pop returns the identical `(time, event)` pair. Events are
+/// unique ids, so a FIFO violation shows as a mismatch.
 fn differential_run(seed: u64, ops: u32) {
     let mut rng = SplitMix64::new(seed);
     let mut queue: EventQueue<u64> = EventQueue::with_capacity(64);
@@ -69,8 +55,7 @@ fn differential_run(seed: u64, ops: u32) {
     for step in 0..ops {
         // Bias toward inserting so the queues build up a deep backlog,
         // then drain nearly empty once every 10,000 steps so the clock
-        // jumps to far cycles and bounded pops refuse with only far
-        // events pending.
+        // jumps over long idle gaps to far cycles.
         let p_pop = if step % 10_000 < 8_000 { 0.45 } else { 0.9 };
         let drain = model.len > 0 && rng.chance(p_pop);
         if !drain {
@@ -87,29 +72,11 @@ fn differential_run(seed: u64, ops: u32) {
                 // Far future: guaranteed far path, with its own ties.
                 _ => now + 10_000 + rng.next_below(90_000) / 17 * 17,
             };
-            if rng.chance(0.3) {
-                let event = (rng.next_below(next_id + 1) << 32) | next_id;
-                queue.insert_by(time, event, |&e| e < event);
-                model.insert_by(time, event, |&e| e < event);
-            } else {
-                let event = (next_id << 32) | next_id;
-                queue.schedule(time, event);
-                model.schedule(time, event);
-            }
+            queue.schedule(time, next_id);
+            model.schedule(time, next_id);
             next_id += 1;
         } else {
-            // Mostly plain pops; otherwise a bound that may fall short of
-            // the next event (and refuse) or reach into the far path.
-            let (got, want) = if rng.chance(0.7) {
-                (queue.pop(), model.pop())
-            } else {
-                let end = match rng.next_below(3) {
-                    0 => model.now + rng.next_below(8),
-                    1 => model.now + rng.next_below(2_000),
-                    _ => model.now + rng.next_below(100_000),
-                };
-                (queue.pop_before(end), model.pop_before(end))
-            };
+            let (got, want) = (queue.pop(), model.pop());
             assert_eq!(
                 got, want,
                 "divergence at step {step} (seed {seed}): queue {got:?} vs model {want:?}"

@@ -248,124 +248,34 @@ fn flight_decomposition_sums_exactly_and_reconciles_with_histograms() {
     assert!(bare_report.blame.is_none(), "bare report has no blame");
 }
 
-#[test]
-fn flight_recorder_is_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        let opts = Options::quick();
-        let app = SuiteApp::OceanBase;
-        let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
-        let instance = app.instantiate(opts.scale);
-        let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
-        machine.enable_flight_recorder(1 << 20);
-        let report = machine.run_parallel(threads);
-        (machine, report)
-    };
-    let (seq, seq_report) = run(1);
-    let (par, par_report) = run(2);
-    // The whole recorder surface is byte-identical: the Chrome export
-    // (spans + flows), the blame summary, and the report's blame field.
-    assert_eq!(
-        seq.chrome_trace().render_pretty(),
-        par.chrome_trace().render_pretty(),
-        "trace/flow exports diverged between thread counts"
-    );
-    assert_eq!(
-        seq.flight().unwrap().blame().to_json().render_pretty(),
-        par.flight().unwrap().blame().to_json().render_pretty(),
-        "blame summaries diverged between thread counts"
-    );
-    assert_eq!(
-        seq_report.blame.as_ref().map(|b| b.to_json().to_string()),
-        par_report.blame.as_ref().map(|b| b.to_json().to_string()),
-    );
-    // Per-record equality, not just aggregate: ids, components, and
-    // every field of every hop, so a hop-arena indexing slip on the
-    // parallel merge path cannot hide behind matching chain lengths.
-    let (ra, rb) = (seq.flight().unwrap(), par.flight().unwrap());
-    let a: Vec<_> = ra.completed().collect();
-    let b: Vec<_> = rb.completed().collect();
-    assert_eq!(a.len(), b.len());
-    let mut hops = 0;
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.components, y.components);
-        assert_eq!(ra.hops(x), rb.hops(y), "hop chain of {} diverged", x.id);
-        hops += ra.hops(x).len();
-    }
-    assert!(hops > a.len(), "reference run records multi-hop chains");
-    let (ha, hb): (Vec<_>, Vec<_>) = (ra.hop_only().collect(), rb.hop_only().collect());
-    assert_eq!(ha, hb, "hop-only records diverged");
-    assert!(!ha.is_empty(), "reference run records hop-only handlers");
-}
-
-#[test]
-fn sparse_format_trace_is_identical_across_thread_counts() {
-    // A sparse directory small enough to force recalls: the recall-driven
-    // invalidation spans must export byte-identically on the parallel
-    // core.
-    let run = |threads: usize| {
-        let opts = Options::quick()
-            .with_dir_format(ccn_protocol::DirFormat::parse("sparse:8").expect("valid format"));
-        let app = SuiteApp::OceanBase;
-        let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
-        let instance = app.instantiate(opts.scale);
-        let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
-        machine.enable_flight_recorder(1 << 20);
-        machine.run_parallel(threads);
-        machine
-    };
-    let seq = run(1);
-    let par = run(2);
-    let a = seq.chrome_trace().render_pretty();
-    assert_eq!(
-        a,
-        par.chrome_trace().render_pretty(),
-        "sparse-format exports diverged between thread counts"
-    );
-    // The sparse run actually exercised the recall path: its pressure
-    // shows up as invalidation-request spans at the sharers.
-    assert!(
-        seq.flight()
-            .unwrap()
-            .spans()
-            .any(|(_, hop)| hop.handler.contains("invalidation request")),
-        "sparse:8 run produced no invalidation spans"
-    );
-}
-
 /// Runs `app` on `cfg` with a recorder ring large enough to drop
-/// nothing, sequentially or on two shard threads, checks that the
-/// recorder holds exactly one span per measured handler execution, and
-/// returns the handler counts.
+/// nothing, checks that the recorder holds exactly one span per measured
+/// handler execution, and returns the machine and its handler counts.
 fn assert_spans_match_handler_counts(
     name: &str,
     cfg: ccnuma::SystemConfig,
     app: &dyn ccn_workloads::Application,
-) -> Vec<(String, u64)> {
-    let mut handler_counts = Vec::new();
-    for threads in [1, 2] {
-        let mut machine = Machine::new(cfg.clone(), app).expect("valid config");
-        machine.enable_flight_recorder(1 << 20);
-        let report = machine.run_parallel(threads);
-        let recorder = machine.flight().expect("recorder on");
-        assert_eq!(
-            (recorder.dropped(), recorder.hop_only_dropped()),
-            (0, 0),
-            "{name}: the ring must not drop"
-        );
-        let mut spans: BTreeMap<&str, u64> = BTreeMap::new();
-        for (_, hop) in recorder.spans() {
-            *spans.entry(hop.handler).or_default() += 1;
-        }
-        let counts: BTreeMap<&str, u64> = report
-            .handler_counts
-            .iter()
-            .map(|(label, n)| (label.as_str(), *n))
-            .collect();
-        assert_eq!(spans, counts, "{name} at --threads {threads}");
-        handler_counts = report.handler_counts;
+) -> (Machine, Vec<(String, u64)>) {
+    let mut machine = Machine::new(cfg, app).expect("valid config");
+    machine.enable_flight_recorder(1 << 20);
+    let report = machine.run();
+    let recorder = machine.flight().expect("recorder on");
+    assert_eq!(
+        (recorder.dropped(), recorder.hop_only_dropped()),
+        (0, 0),
+        "{name}: the ring must not drop"
+    );
+    let mut spans: BTreeMap<&str, u64> = BTreeMap::new();
+    for (_, hop) in recorder.spans() {
+        *spans.entry(hop.handler).or_default() += 1;
     }
-    handler_counts
+    let counts: BTreeMap<&str, u64> = report
+        .handler_counts
+        .iter()
+        .map(|(label, n)| (label.as_str(), *n))
+        .collect();
+    assert_eq!(spans, counts, "{name}");
+    (machine, report.handler_counts)
 }
 
 #[test]
@@ -385,7 +295,17 @@ fn recorder_spans_cover_every_measured_handler() {
         sparse,
         ConfigMods::default(),
     );
-    assert_spans_match_handler_counts("sparse:8", cfg, ocean.as_ref());
+    let (sparse_run, _) = assert_spans_match_handler_counts("sparse:8", cfg, ocean.as_ref());
+    // The sparse run actually exercised the recall path: its pressure
+    // shows up as invalidation-request spans at the sharers.
+    assert!(
+        sparse_run
+            .flight()
+            .unwrap()
+            .spans()
+            .any(|(_, hop)| hop.handler.contains("invalidation request")),
+        "sparse:8 run produced no invalidation spans"
+    );
     let kv = ccn_scenario::Scenario::new(ccn_bench::golden::kv_mix_spec());
     let cfg = ccn_scenario::scenario_config(Architecture::Ppc, 4, 2);
     assert_spans_match_handler_counts("kv-mix 4x2", cfg, &kv);
@@ -405,7 +325,7 @@ fn recorder_spans_cover_every_measured_handler() {
         work: 6,
         seed: 11,
     };
-    let counts = assert_spans_match_handler_counts("no direct path", cfg, &evictions);
+    let (_, counts) = assert_spans_match_handler_counts("no direct path", cfg, &evictions);
     assert!(
         counts
             .iter()

@@ -248,6 +248,38 @@ fn flight_decomposition_sums_exactly_and_reconciles_with_histograms() {
     assert!(bare_report.blame.is_none(), "bare report has no blame");
 }
 
+#[test]
+fn sparse_format_trace_is_identical_across_thread_counts() {
+    // A sparse directory small enough to force recalls (the `sparse:8`
+    // case of `recorder_spans_cover_every_measured_handler` checks that
+    // the run produces their invalidation spans). Each simulation owns
+    // its state, so the export must be byte-identical whether one run has
+    // the process to itself or two runs share it on separate host
+    // threads, as sweep workers do.
+    let run = || {
+        let opts = Options::quick()
+            .with_dir_format(ccn_protocol::DirFormat::parse("sparse:8").expect("valid format"));
+        let app = SuiteApp::OceanBase;
+        let cfg = config_for(app, Architecture::Hwc, opts, ConfigMods::default());
+        let instance = app.instantiate(opts.scale);
+        let mut machine = Machine::new(cfg, instance.as_ref()).expect("valid config");
+        machine.enable_flight_recorder(1 << 20);
+        machine.run();
+        machine.chrome_trace().render_pretty()
+    };
+    let lone = run();
+    let concurrent: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2).map(|_| s.spawn(run)).collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for (i, trace) in concurrent.iter().enumerate() {
+        assert!(
+            lone == *trace,
+            "sparse-format export of concurrent run {i} diverged from the lone run"
+        );
+    }
+}
+
 /// Runs `app` on `cfg` with a recorder ring large enough to drop
 /// nothing, checks that the recorder holds exactly one span per measured
 /// handler execution, and returns the machine and its handler counts.

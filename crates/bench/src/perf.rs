@@ -13,13 +13,14 @@
 //! * `end_to_end_reference` — one full Ocean/HWC simulation, the
 //!   reference sweep unit every table and figure is built from.
 //!
-//! Throughput is reported as events (or operations) per second, keeping
-//! each case's best sample over several passes (see [`run_bench`]); the
-//! artifact also records wall-clock seconds and peak RSS. A checked-in
-//! baseline (`--baseline FILE`) turns the run into a smoke-level
-//! regression gate: the run fails if any case loses more than 25% of its
-//! baseline throughput. Baselines are machine-dependent — re-bless by
-//! copying a fresh `BENCH_sim.json` when the runner class changes.
+//! Throughput is reported as events, operations or simulated memory
+//! references per second, keeping each case's best sample over several
+//! passes (see [`run_bench`]); the artifact also records wall-clock
+//! seconds and peak RSS. A checked-in baseline (`--baseline FILE`) turns
+//! the run into a smoke-level regression gate: the run fails if any case
+//! loses more than 25% of its baseline throughput. Baselines are
+//! machine-dependent — re-bless by copying a fresh `BENCH_sim.json` when
+//! the runner class changes.
 
 use std::time::Instant;
 
@@ -36,7 +37,7 @@ use ccnuma::{Architecture, Machine};
 pub struct CaseResult {
     /// Case name (stable key in the JSON artifact).
     pub name: &'static str,
-    /// Unit of work counted (`"events"` or `"ops"`).
+    /// Unit of work counted (`"events"`, `"ops"` or `"refs"`).
     pub unit: &'static str,
     /// Total units of work performed.
     pub work: u64,
@@ -350,10 +351,11 @@ fn req(kind: DirRequestKind, requester: NodeId) -> DirRequest {
 
 /// One full reference simulation: Ocean on the HWC architecture — quick
 /// scale for the smoke gate, the default reproduction scale otherwise.
-/// Throughput is simulation events per wall-clock second. With `obs`,
-/// the run carries the full observability load: the stats-spine sampler
-/// and the transaction flight recorder, which records every handler
-/// span.
+/// Throughput is simulated memory references per wall-clock second:
+/// unlike the event count, the simulated work does not change when the
+/// simulator schedules its events differently. With `obs`, the run
+/// carries the full observability load: the stats-spine sampler and the
+/// transaction flight recorder, which records every handler span.
 fn bench_end_to_end(quick: bool, obs: bool) -> CaseResult {
     let opts = if quick {
         Options::quick()
@@ -399,8 +401,8 @@ fn bench_end_to_end(quick: bool, obs: bool) -> CaseResult {
     }
     CaseResult {
         name: "end_to_end_reference",
-        unit: "events",
-        work: machine.events_scheduled(),
+        unit: "refs",
+        work: report.references,
         secs,
         measured_allocs,
     }

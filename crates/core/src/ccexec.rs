@@ -14,7 +14,7 @@ use ccn_protocol::handlers::{Fanout, HandlerKind};
 use ccn_protocol::{Msg, MsgClass, MsgKind, SharerBitmap};
 use ccn_sim::Cycle;
 
-use crate::machine::{Machine, CC_WORK};
+use crate::machine::Machine;
 use crate::steps::{run_steps, CcRequest, StepRun};
 
 impl Machine {
@@ -68,7 +68,7 @@ impl Machine {
         };
         self.nodes[n].cc.complete_handler(engine, now, end);
         if self.nodes[n].cc.has_work(engine) {
-            CC_WORK.send(&mut self.queue, end, (n as u16, engine as u8));
+            self.arm_cc(end, n, engine, 1);
         }
     }
 

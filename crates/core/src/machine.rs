@@ -29,8 +29,13 @@ use crate::sync::{BarrierOutcome, LockOutcome, SyncState};
 pub(crate) enum Event {
     /// Resume (or retry the blocked operation of) a processor.
     ProcResume(u32),
-    /// A protocol engine should attempt a dispatch.
-    CcWork { node: u16, engine: u8 },
+    /// A protocol engine should attempt `attempts` dispatches, one after
+    /// another (see [`Machine::arm_cc`]).
+    CcWork {
+        node: u16,
+        engine: u8,
+        attempts: u64,
+    },
     /// A network message reaches its destination controller.
     MsgArrive(Msg),
 }
@@ -43,16 +48,21 @@ pub(crate) enum Event {
 // endpoints. A port is a zero-cost wrapper over the calendar queue (same
 // timestamp, same insertion order), so routing through it cannot change
 // simulated behavior — it only makes the machine's wiring explicit and
-// greppable.
+// greppable. Wake-ups reach `CC_WORK` only through `Machine::arm_cc`,
+// which folds a wake-up into an adjacent one instead of sending it.
 // ---------------------------------------------------------------
 
 /// Wakes (or retries) a processor: bus/controller/sync → processor.
 pub(crate) const PROC_RESUME: Port<u32, Event> = Port::new("proc.resume", Event::ProcResume);
 
-/// Kicks a protocol engine's dispatch loop: bus/NI → coherence controller.
-pub(crate) const CC_WORK: Port<(u16, u8), Event> = Port::new("node.cc.work", |(node, engine)| {
-    Event::CcWork { node, engine }
-});
+/// Kicks a protocol engine's dispatch loop: bus/NI → coherence controller,
+/// carrying the number of dispatch attempts.
+const CC_WORK: Port<(u16, u8, u64), Event> =
+    Port::new("node.cc.work", |(node, engine, attempts)| Event::CcWork {
+        node,
+        engine,
+        attempts,
+    });
 
 /// Delivers a message at its destination: network → network interface.
 pub(crate) const MSG_ARRIVE: Port<Msg, Event> = Port::new("net.deliver", Event::MsgArrive);
@@ -257,14 +267,16 @@ impl Machine {
         // are generated rather than range-based.
         let footprint = build.footprint_lines(cfg.line_bytes).max(1024);
         // Sized past the pending-event high-water mark so the queue's
-        // slab never grows mid-run (the zero-alloc gate checks this):
-        // the reference workloads peak around 34 concurrently pending
-        // events per processor (blocked misses, protocol messages,
-        // controller dispatch continuations), measured via
-        // `max_pending_events`; 64 leaves comfortable headroom at a few
-        // dozen bytes per slot.
+        // slab never grows mid-run (the zero-alloc gate checks this).
+        // With adjacent controller wake-ups merged (`arm_cc`), the
+        // peak `max_pending_events` over every contended-timing golden
+        // machine and every host-benchmark machine is 2.5 per processor
+        // (WaterSpatial on 2HWC at `--quick`: 20 for 8); Ocean on the
+        // 16x4 machine at repro scale peaks at 109 (HWC) and 108 (PPC)
+        // for 64. The multiplier is the smallest power of two at least
+        // 4x the largest per-processor peak.
         let nprocs = cfg.nprocs();
-        let mut queue = EventQueue::with_capacity(nprocs * 64);
+        let mut queue = EventQueue::with_capacity(nprocs * 16);
         let procs: Vec<Proc> = build
             .programs
             .into_iter()
@@ -346,7 +358,9 @@ impl Machine {
     }
 
     /// Like [`run`](Machine::run), but panics with diagnostics after
-    /// `max_events` events — a watchdog for tests.
+    /// `max_events` events — a watchdog for tests. A controller wake-up
+    /// counts once per dispatch attempt it carries, so a budget trips in
+    /// the same cycle however many wake-ups were merged.
     ///
     /// # Panics
     ///
@@ -360,7 +374,10 @@ impl Machine {
             if self.sampler.is_some() {
                 self.take_due_samples(t);
             }
-            events += 1;
+            events += match ev {
+                Event::CcWork { attempts, .. } => attempts,
+                _ => 1,
+            };
             if events > max_events {
                 panic!(
                     "event budget exhausted at cycle {t}: queue={} done={}/{} event={ev:?} \
@@ -373,7 +390,11 @@ impl Machine {
             }
             match ev {
                 Event::ProcResume(p) => self.run_proc(p as usize, t),
-                Event::CcWork { node, engine } => self.cc_work(node as usize, engine as usize, t),
+                Event::CcWork {
+                    node,
+                    engine,
+                    attempts,
+                } => self.cc_work(node as usize, engine as usize, t, attempts),
                 Event::MsgArrive(msg) => self.msg_arrive(msg, t),
             }
         }
@@ -404,7 +425,9 @@ impl Machine {
     }
 
     /// Total number of events scheduled over the run's lifetime (the
-    /// denominator of events-per-second throughput measurements).
+    /// denominator of events-per-second throughput measurements). These
+    /// are queue events: controller wake-ups merged into an already
+    /// queued one (see `arm_cc`) are not counted again.
     pub fn events_scheduled(&self) -> u64 {
         self.queue.total_scheduled()
     }
@@ -913,20 +936,52 @@ impl Machine {
             self.nodes[n].cc.busy_until(engine).max(time)
         };
         let at = wake.max(self.queue.now());
-        CC_WORK.send(&mut self.queue, at, (n as u16, engine as u8));
+        self.arm_cc(at, n, engine, 1);
     }
 
-    fn cc_work(&mut self, n: usize, engine: usize, now: Cycle) {
-        match self.nodes[n].cc.dispatch(engine, now) {
-            Some((req, _class)) => self.execute_handler(n, engine, req, now),
-            None => {
-                // Engine busy (or spurious). Re-arm at the release time if
-                // work is pending.
-                let busy_until = self.nodes[n].cc.busy_until(engine);
-                if busy_until > now && self.nodes[n].cc.has_work(engine) {
-                    CC_WORK.send(&mut self.queue, busy_until, (n as u16, engine as u8));
-                }
+    /// Arms `attempts` dispatch attempts of `engine` on node `n` at cycle
+    /// `at`: the only way a controller wake-up enters the queue.
+    ///
+    /// The merge is exact under one condition, adjacency: if the last
+    /// event already queued at `at` is a wake-up of the same engine, a
+    /// new event would be queued directly behind it, and anything else
+    /// scheduled at `at` later would land behind both. The two would pop
+    /// back to back with nothing in between, so adding `attempts` to the
+    /// queued event's count replays the same attempts at the same cycle
+    /// in the same order. Otherwise the wake-up is a new event.
+    pub(crate) fn arm_cc(&mut self, at: Cycle, n: usize, engine: usize, attempts: u64) {
+        let (node, engine) = (n as u16, engine as u8);
+        if let Some(Event::CcWork {
+            node: tail_node,
+            engine: tail_engine,
+            attempts: queued,
+        }) = self.queue.last_at_mut(at)
+        {
+            if (*tail_node, *tail_engine) == (node, engine) {
+                *queued += attempts;
+                return;
             }
+        }
+        CC_WORK.send(&mut self.queue, at, (node, engine, attempts));
+    }
+
+    /// Runs `attempts` dispatch attempts of `engine` on node `n`, in order.
+    fn cc_work(&mut self, n: usize, engine: usize, now: Cycle, attempts: u64) {
+        for done in 0..attempts {
+            if let Some((req, _class)) = self.nodes[n].cc.dispatch(engine, now) {
+                self.execute_handler(n, engine, req, now);
+                continue;
+            }
+            // Engine busy (or spurious). A failed dispatch changes
+            // nothing, and nothing else runs before the next attempt, so
+            // this one and every one after it fail alike: they re-arm
+            // together at the release time if work is pending, or are
+            // all dropped.
+            let busy_until = self.nodes[n].cc.busy_until(engine);
+            if busy_until > now && self.nodes[n].cc.has_work(engine) {
+                self.arm_cc(busy_until, n, engine, attempts - done);
+            }
+            return;
         }
     }
 

@@ -50,14 +50,6 @@ impl NetConfig {
             ..NetConfig::default()
         }
     }
-
-    /// The minimum send-to-arrival delay of any message: NI overhead and
-    /// at least one serialization cycle on each side, plus the
-    /// fall-through latency. No cross-node message can take effect
-    /// sooner than this after its send.
-    pub fn min_delay(&self) -> Cycle {
-        2 * self.ni_overhead + self.latency_cycles + 2
-    }
 }
 
 /// The machine's interconnection network.
@@ -250,15 +242,18 @@ mod tests {
     #[test]
     fn min_delay_bounds_every_send() {
         for cfg in [NetConfig::default(), NetConfig::slow()] {
+            // NI overhead and one serialization cycle on each side, plus
+            // the fall-through latency.
+            let min_delay = 2 * cfg.ni_overhead + cfg.latency_cycles + 2;
             let mut net = Network::new(4, cfg);
             let arrival = net.send(1000, NodeId(0), NodeId(1), 8);
             assert_eq!(
                 arrival - 1000,
-                cfg.min_delay(),
+                min_delay,
                 "8-byte control message is minimal"
             );
             let arrival = net.send(5000, NodeId(1), NodeId(2), 144);
-            assert!(arrival - 5000 >= cfg.min_delay());
+            assert!(arrival - 5000 >= min_delay);
         }
     }
 

@@ -192,6 +192,29 @@ impl<E> EventQueue<E> {
         append(&mut self.slab, list, idx);
     }
 
+    /// The event that a `schedule(time, ..)` made now would queue
+    /// directly behind: the last event pending at cycle `time`, or `None`
+    /// when that cycle has no pending event (it is empty, fully popped,
+    /// or already in the past). A caller may fold new work into it
+    /// instead of scheduling, when running the two back to back is what
+    /// the queue would do anyway. O(1) inside the wheel window, a binary
+    /// search over the far cycles beyond it.
+    pub fn last_at_mut(&mut self, time: Cycle) -> Option<&mut E> {
+        if time < self.now {
+            return None;
+        }
+        let tail = if time - self.now < WHEEL_SPAN {
+            self.wheel[(time & WHEEL_MASK) as usize].1
+        } else {
+            let i = self.far.binary_search_by(|&(t, ..)| time.cmp(&t)).ok()?;
+            self.far[i].1 .1
+        };
+        if tail == NIL {
+            return None;
+        }
+        self.slab[tail as usize].event.as_mut()
+    }
+
     /// The earliest pending cycle and the first slot of its list.
     fn first(&self) -> Option<(Cycle, u32)> {
         if self.wheel_len == 0 {
@@ -381,6 +404,81 @@ mod tests {
         q.schedule(target, "scheduled-second");
         assert_eq!(q.pop(), Some((target, "scheduled-first")));
         assert_eq!(q.pop(), Some((target, "scheduled-second")));
+    }
+
+    #[test]
+    fn last_at_mut_is_the_tail_of_a_wheel_bucket() {
+        let mut q = EventQueue::new();
+        q.schedule(7, 1);
+        q.schedule(9, 2);
+        q.schedule(7, 3);
+        assert_eq!(q.last_at_mut(7), Some(&mut 3));
+        assert_eq!(q.last_at_mut(9), Some(&mut 2));
+        // Changing the tail in place changes what pops, not the order.
+        *q.last_at_mut(7).unwrap() = 30;
+        assert_eq!(q.pop(), Some((7, 1)));
+        assert_eq!(q.pop(), Some((7, 30)));
+        assert_eq!(q.pop(), Some((9, 2)));
+    }
+
+    #[test]
+    fn last_at_mut_is_the_tail_of_a_far_list() {
+        let mut q = EventQueue::new();
+        let far = 5 * WHEEL_SPAN;
+        q.schedule(far, "a");
+        q.schedule(far + 3, "x");
+        q.schedule(far, "b");
+        assert_eq!(q.last_at_mut(far), Some(&mut "b"));
+        assert_eq!(q.last_at_mut(far + 3), Some(&mut "x"));
+        // A far cycle with nothing on it, between and beyond the others.
+        assert_eq!(q.last_at_mut(far + 1), None);
+        assert_eq!(q.last_at_mut(far + 100), None);
+        *q.last_at_mut(far).unwrap() = "c";
+        assert_eq!(q.pop(), Some((far, "a")));
+        assert_eq!(q.pop(), Some((far, "c")));
+        assert_eq!(q.pop(), Some((far + 3, "x")));
+    }
+
+    #[test]
+    fn last_at_mut_on_a_partly_popped_cycle() {
+        let mut q = EventQueue::new();
+        for i in 0..3 {
+            q.schedule(4, i);
+        }
+        assert_eq!(q.pop(), Some((4, 0)));
+        // The clock is at 4 with two events left there: the tail is
+        // still the last one scheduled.
+        assert_eq!(q.last_at_mut(4), Some(&mut 2));
+        assert_eq!(q.pop(), Some((4, 1)));
+        assert_eq!(q.last_at_mut(4), Some(&mut 2));
+        assert_eq!(q.pop(), Some((4, 2)));
+        // Fully popped: a new event would have nothing in front of it.
+        assert_eq!(q.last_at_mut(4), None);
+    }
+
+    #[test]
+    fn last_at_mut_on_an_empty_cycle() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        assert_eq!(q.last_at_mut(0), None);
+        q.schedule(10, 1);
+        assert_eq!(q.last_at_mut(11), None);
+        // Cycle 10's bucket one wheel span later: a far cycle with
+        // nothing on it.
+        assert_eq!(q.last_at_mut(10 + WHEEL_SPAN), None);
+    }
+
+    #[test]
+    fn last_at_mut_on_a_past_cycle_is_none() {
+        let mut q = EventQueue::new();
+        q.schedule(3, 'a');
+        q.schedule(3 + WHEEL_SPAN, 'b');
+        assert_eq!(q.pop(), Some((3, 'a')));
+        q.schedule(5, 'c');
+        assert_eq!(q.pop(), Some((5, 'c')));
+        // Cycle 3 is behind the clock; its bucket now serves cycle
+        // 3 + SPAN, whose event must not be reported for cycle 3.
+        assert_eq!(q.last_at_mut(3), None);
+        assert_eq!(q.last_at_mut(3 + WHEEL_SPAN), Some(&mut 'b'));
     }
 
     #[test]

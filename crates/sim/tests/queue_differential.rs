@@ -8,7 +8,10 @@
 //! with randomized schedules designed to hit its interesting regimes:
 //! dense same-cycle ties, jitter inside the wheel window, far-future
 //! events that take the far path, and drains that force the clock to
-//! jump over long idle gaps.
+//! jump over long idle gaps. The random driver also folds new work into
+//! the tail of a cycle through `last_at_mut`, the way the machine merges
+//! adjacent controller wake-ups, and checks the tail it finds against
+//! the reference's.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -30,6 +33,14 @@ impl ReferenceQueue {
         self.len += 1;
     }
 
+    /// The event a schedule at `time` would queue directly behind.
+    fn last_at_mut(&mut self, time: Cycle) -> Option<&mut u64> {
+        if time < self.now {
+            return None;
+        }
+        self.cycles.get_mut(&time).and_then(VecDeque::back_mut)
+    }
+
     fn pop(&mut self) -> Option<(Cycle, u64)> {
         let mut first = self.cycles.first_entry()?;
         let time = *first.key();
@@ -43,14 +54,20 @@ impl ReferenceQueue {
     }
 }
 
-/// Runs `ops` random schedule/pop steps on both queues and checks that
-/// every pop returns the identical `(time, event)` pair. Events are
-/// unique ids, so a FIFO violation shows as a mismatch.
+/// Runs `ops` random schedule/merge/pop steps on both queues and checks
+/// that every pop returns the identical `(time, event)` pair. Events are
+/// unique ids, so a FIFO violation shows as a mismatch. A merge looks up
+/// the tail of a cycle in both queues; where there is one, it overwrites
+/// it in place with a fresh id, and where there is none it schedules the
+/// id instead, as `Machine::arm_cc` does with a wake-up.
 fn differential_run(seed: u64, ops: u32) {
     let mut rng = SplitMix64::new(seed);
     let mut queue: EventQueue<u64> = EventQueue::with_capacity(64);
     let mut model = ReferenceQueue::default();
     let mut next_id: u64 = 0;
+    let mut scheduled: u64 = 0;
+    let mut merged: u64 = 0;
+    let mut last: Cycle = 0;
 
     for step in 0..ops {
         // Bias toward inserting so the queues build up a deep backlog,
@@ -60,7 +77,7 @@ fn differential_run(seed: u64, ops: u32) {
         let drain = model.len > 0 && rng.chance(p_pop);
         if !drain {
             let now = model.now;
-            let time = match rng.next_below(8) {
+            let time = match rng.next_below(9) {
                 // Dense ties: land exactly on the current cycle.
                 0 | 1 => now,
                 // A hot cycle shared by many events.
@@ -70,10 +87,43 @@ fn differential_run(seed: u64, ops: u32) {
                 // Straddle the window boundary (wheel span is 1024).
                 6 => now + 900 + rng.next_below(300),
                 // Far future: guaranteed far path, with its own ties.
-                _ => now + 10_000 + rng.next_below(90_000) / 17 * 17,
+                7 => now + 10_000 + rng.next_below(90_000) / 17 * 17,
+                // The previous insertion's cycle again, so far cycles
+                // too hold runs of events whose tail a merge must find.
+                _ => last.max(now),
             };
-            queue.schedule(time, next_id);
-            model.schedule(time, next_id);
+            last = time;
+            if rng.chance(0.25) {
+                // A past cycle never has a tail to merge into.
+                if now > 0 {
+                    let past = now - 1 - rng.next_below(now.min(2_000));
+                    assert_eq!(queue.last_at_mut(past), None, "past cycle {past}");
+                }
+                match (queue.last_at_mut(time), model.last_at_mut(time)) {
+                    (Some(got), Some(want)) => {
+                        assert_eq!(
+                            *got, *want,
+                            "tail of cycle {time} at step {step} (seed {seed})"
+                        );
+                        *got = next_id;
+                        *want = next_id;
+                        merged += 1;
+                    }
+                    (None, None) => {
+                        queue.schedule(time, next_id);
+                        model.schedule(time, next_id);
+                        scheduled += 1;
+                    }
+                    (got, want) => panic!(
+                        "tail of cycle {time} at step {step} (seed {seed}): \
+                         queue {got:?} vs model {want:?}"
+                    ),
+                }
+            } else {
+                queue.schedule(time, next_id);
+                model.schedule(time, next_id);
+                scheduled += 1;
+            }
             next_id += 1;
         } else {
             let (got, want) = (queue.pop(), model.pop());
@@ -96,7 +146,12 @@ fn differential_run(seed: u64, ops: u32) {
         }
     }
     assert_eq!(queue.now(), model.now);
-    assert_eq!(queue.total_scheduled(), next_id);
+    // Merges schedule nothing; the driver must have exercised both arms.
+    assert_eq!(queue.total_scheduled(), scheduled);
+    assert!(
+        merged > 1_000 && scheduled > merged,
+        "seed {seed}: {merged} merges, {scheduled} schedules"
+    );
 }
 
 #[test]

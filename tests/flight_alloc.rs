@@ -1,4 +1,5 @@
-//! Allocation guard for runs with the transaction flight recorder on.
+//! Allocation guards for the measured phase, with the transaction flight
+//! recorder on and off.
 //!
 //! The recorder is meant to be cheap enough to leave on. Its live table
 //! is sized when it is enabled, so in the measured phase the only heap
@@ -8,9 +9,17 @@
 //! allocator, forwarding every allocation to [`ccn_sim::alloc_gate`],
 //! and holds quick Ocean on HWC and on 2PPC, with a large and a small
 //! ring, to that bound.
+//!
+//! With the recorder off the bound is zero, on a machine with long
+//! controller queues: the key-value mix on 8x2 PPC. Its pending events
+//! must stay inside the event slab `Machine::new` sizes, which holds
+//! only while queued requests do not each keep a wake-up of their own
+//! pending.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
+use ccn_bench::golden::kv_mix_spec;
+use ccn_scenario::{scenario_config, Scenario};
 use ccn_workloads::suite::SuiteApp;
 use ccnuma::experiments::{config_for, ConfigMods, Options};
 use ccnuma::{Architecture, Machine};
@@ -74,4 +83,20 @@ fn recorder_on_measured_phase_allocates_a_bounded_number_of_times() {
             );
         }
     }
+
+    // Recorder off: no allocation at all.
+    let cfg = scenario_config(Architecture::Ppc, 8, 2);
+    let mut machine = Machine::new(cfg, &Scenario::new(kv_mix_spec())).expect("valid config");
+    ccn_sim::alloc_gate::request();
+    let report = machine.run();
+    let (allocs, bytes) = ccn_sim::alloc_gate::counts();
+    ccn_sim::alloc_gate::reset();
+    assert!(report.cc_arrivals > 0, "the run queued controller work");
+    assert_eq!(
+        allocs,
+        0,
+        "kv-mix on 8x2 PPC, recorder off: the measured phase allocated {allocs} time(s) \
+         ({bytes} bytes) at a peak of {} pending events",
+        machine.max_pending_events()
+    );
 }

@@ -15,8 +15,9 @@
 //! * the contended timing of whole runs: exec cycles, controller
 //!   queueing delay and functional digest of every Table 6 application
 //!   on all four architectures at the quick scale, plus twins of the
-//!   host-time benchmark's slow-network and key-value machines and the
-//!   1024-node machine of the scaling study.
+//!   host-time benchmark's slow-network and key-value machines, the
+//!   1024-node machine of the scaling study, and a 128-node key-value
+//!   run whose handlers fan out past 64 nodes.
 //!
 //! Any simulator change that moves one of these shows up as a diff with
 //! the offending line. When the change is intentional, regenerate the
@@ -26,6 +27,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use ccn_protocol::DirFormat;
 use ccn_scenario::{scenario_config, Scenario, ScenarioSpec};
 use ccn_verify::{conformance_cases, explore, run_case, Bounds, ModelConfig, ARCHS};
 use ccn_workloads::suite::{Scale, SuiteApp};
@@ -109,8 +111,10 @@ fn conformance_digests() -> String {
 /// and the functional digest of the end state. The runs are every
 /// Table 6 application on all four architectures at the quick scale,
 /// tiny Ocean on the 32x2 HWC machine with the slow network, a 4x2 PPC
-/// twin of the key-value benchmark mix, and the largest machine: tiny
-/// Ocean on 1024x4 HWC.
+/// twin of the key-value benchmark mix, the largest machine (tiny Ocean
+/// on 1024x4 HWC), and the key-value mix on 128x1 HWC with four-pointer
+/// limited directories, whose overflowed lines broadcast invalidations
+/// to up to 127 nodes from one handler.
 fn contended_timing() -> String {
     let mut out = String::new();
     let mut run = |name: &str, cfg: SystemConfig, app: &dyn Application| {
@@ -172,6 +176,11 @@ fn contended_timing() -> String {
             ConfigMods::default(),
         ),
         &crate::ocean_for(1024 * largest.procs_per_node),
+    );
+    run(
+        "kv-mix-0-128x1-limited4",
+        scenario_config(Architecture::Hwc, 128, 1).with_dir_format(DirFormat::Limited { ptrs: 4 }),
+        &Scenario::new(kv_mix_spec()),
     );
     out
 }

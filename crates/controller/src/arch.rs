@@ -1,54 +1,16 @@
-//! The architecture seam: HWC, PPC, 2HWC and 2PPC behind one trait.
+//! Architecture labels.
 //!
 //! The paper's comparison swaps the coherence-controller implementation
-//! inside an otherwise-fixed node. [`ControllerArch`] is the object-safe
-//! seam that makes that swap explicit: an architecture is nothing more
-//! than a paper label, an engine implementation ([`EngineKind`]) and an
-//! engine-count/split policy ([`EnginePolicy`]). The machine model and
-//! the experiment drivers select architectures **by value** — a
-//! `&'static dyn ControllerArch` from [`ARCHITECTURES`] or
-//! [`arch_by_name`] — instead of matching on an enum at every use site.
-//!
-//! Adding a fifth architecture therefore means implementing this trait
-//! and registering the new singleton here; see `docs/MODEL.md` for the
-//! full walkthrough.
+//! inside an otherwise-fixed node. An architecture is two orthogonal
+//! choices, both plain values in a machine's configuration: an engine
+//! implementation ([`EngineKind`]: how much each protocol sub-operation
+//! costs) and an engine policy ([`EnginePolicy`]: how many engines a
+//! controller has and how requests split across them). This module names
+//! a combination for reports; see `docs/MODEL.md` for how to add one.
 
 use ccn_protocol::EngineKind;
 
 use crate::EnginePolicy;
-
-/// One coherence-controller architecture: a named combination of a
-/// protocol-engine implementation and an engine policy.
-///
-/// The trait is object-safe so registries and configuration tables can
-/// hold `&'static dyn ControllerArch` and the rest of the workspace can
-/// dispatch without enumerating the variants.
-///
-/// # Example
-///
-/// ```
-/// use ccn_controller::arch::{arch_by_name, ARCHITECTURES};
-///
-/// assert_eq!(ARCHITECTURES.len(), 4);
-/// let two_ppc = arch_by_name("2PPC").unwrap();
-/// assert_eq!(two_ppc.engines().engines(), 2);
-/// ```
-pub trait ControllerArch: std::fmt::Debug + Sync {
-    /// The paper's label ("HWC", "PPC", "2HWC", "2PPC").
-    fn name(&self) -> &'static str;
-
-    /// The protocol-engine implementation this architecture uses.
-    fn engine(&self) -> EngineKind;
-
-    /// The engine count and workload-split policy.
-    fn engines(&self) -> EnginePolicy;
-
-    /// The label reports carry for this architecture's configuration
-    /// (identical to [`report_label`] of its policy and engine).
-    fn label(&self) -> String {
-        report_label(self.engines(), self.engine())
-    }
-}
 
 /// The report label for an arbitrary `(policy, engine)` combination.
 ///
@@ -76,106 +38,9 @@ pub fn report_label(engines: EnginePolicy, engine: EngineKind) -> String {
     format!("{engines_label}{}", engine.name())
 }
 
-macro_rules! architecture {
-    ($(#[$doc:meta])* $ty:ident, $static_name:ident, $name:literal, $engine:expr, $engines:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, Default)]
-        pub struct $ty;
-
-        impl ControllerArch for $ty {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn engine(&self) -> EngineKind {
-                $engine
-            }
-
-            fn engines(&self) -> EnginePolicy {
-                $engines
-            }
-        }
-
-        /// Singleton instance, for registry entries and by-value selection.
-        pub static $static_name: $ty = $ty;
-    };
-}
-
-architecture!(
-    /// Custom hardware controller: one hardwired protocol FSM.
-    HwcArch,
-    HWC,
-    "HWC",
-    EngineKind::Hwc,
-    EnginePolicy::Single
-);
-
-architecture!(
-    /// Commodity protocol processor: one engine running handler software.
-    PpcArch,
-    PPC,
-    "PPC",
-    EngineKind::Ppc,
-    EnginePolicy::Single
-);
-
-architecture!(
-    /// Two custom-hardware FSMs split by address locality (LPE + RPE).
-    TwoHwcArch,
-    TWO_HWC,
-    "2HWC",
-    EngineKind::Hwc,
-    EnginePolicy::LocalRemote
-);
-
-architecture!(
-    /// Two protocol processors split by address locality (LPE + RPE).
-    TwoPpcArch,
-    TWO_PPC,
-    "2PPC",
-    EngineKind::Ppc,
-    EnginePolicy::LocalRemote
-);
-
-/// The registered architectures, in the paper's presentation order
-/// (Table 6: HWC, 2HWC, PPC, 2PPC). A fifth architecture joins the
-/// comparison by being appended here.
-pub static ARCHITECTURES: [&dyn ControllerArch; 4] = [&HWC, &TWO_HWC, &PPC, &TWO_PPC];
-
-/// Looks up a registered architecture by its paper label.
-pub fn arch_by_name(name: &str) -> Option<&'static dyn ControllerArch> {
-    ARCHITECTURES.iter().copied().find(|a| a.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_names_are_unique_and_resolvable() {
-        for arch in ARCHITECTURES {
-            let found = arch_by_name(arch.name()).expect("registered");
-            assert_eq!(found.name(), arch.name());
-            assert_eq!(found.engine(), arch.engine());
-            assert_eq!(found.engines(), arch.engines());
-        }
-        assert!(arch_by_name("3XYZ").is_none());
-    }
-
-    #[test]
-    fn paper_architectures_label_as_their_names() {
-        for arch in ARCHITECTURES {
-            assert_eq!(arch.label(), arch.name());
-        }
-    }
-
-    #[test]
-    fn mapping_matches_the_paper() {
-        assert_eq!(HWC.engine(), EngineKind::Hwc);
-        assert_eq!(HWC.engines(), EnginePolicy::Single);
-        assert_eq!(TWO_PPC.engine(), EngineKind::Ppc);
-        assert_eq!(TWO_PPC.engines(), EnginePolicy::LocalRemote);
-    }
 
     #[test]
     fn extended_policies_get_prefixed_labels() {

@@ -54,10 +54,9 @@ pub struct EngineStats {
     pub handled: u64,
     /// Total cycles the engine was occupied by handlers.
     pub occupancy: Cycle,
-    /// Queueing delay of dispatched requests, in cycles.
-    pub queue_delay: Accumulator,
-    /// Queueing-delay distribution (log2 buckets, cycles): the tail the
-    /// mean hides is what distinguishes HWC from PPC under bursty load.
+    /// Queueing delay of dispatched requests (log2 buckets, cycles, with
+    /// an exact count and sum): the tail the mean hides is what
+    /// distinguishes HWC from PPC under bursty load.
     pub queue_delay_hist: Histogram,
     /// Arrivals per input-queue class \[responses, net requests, bus\].
     pub class_arrivals: [u64; 3],
@@ -87,8 +86,6 @@ pub struct ControllerStats {
     pub handled: u64,
     /// Total handler occupancy in cycles.
     pub occupancy: Cycle,
-    /// Queueing delay across all dispatches.
-    pub queue_delay: Accumulator,
     /// Queueing-delay distribution across all dispatches.
     pub queue_delay_hist: Histogram,
 }
@@ -163,16 +160,9 @@ impl<R> CoherenceController<R> {
         self.policy.engine_for(role, line)
     }
 
-    /// Enqueues a request at `time`. Returns `true` if the target engine is
-    /// idle at `time` (the caller should schedule a dispatch event).
-    pub fn enqueue(
-        &mut self,
-        role: EngineRole,
-        line: u64,
-        class: MsgClass,
-        time: Cycle,
-        req: R,
-    ) -> bool {
+    /// Enqueues a request at `time`. The caller wakes the engine: at
+    /// `time`, or at [`busy_until`](Self::busy_until) if that is later.
+    pub fn enqueue(&mut self, role: EngineRole, line: u64, class: MsgClass, time: Cycle, req: R) {
         let idx = self.engine_for(role, line);
         let engine = &mut self.engines[idx];
         engine.stats.arrivals += 1;
@@ -185,12 +175,6 @@ impl<R> CoherenceController<R> {
         }
         engine.last_arrival = Some(time);
         engine.queues[class_index(class)].push_back((time, req));
-        engine.busy_until <= time
-    }
-
-    /// Whether engine `idx` is idle at `now`.
-    pub fn is_idle(&self, idx: usize, now: Cycle) -> bool {
-        self.engines[idx].busy_until <= now
     }
 
     /// The cycle engine `idx` becomes free.
@@ -233,9 +217,10 @@ impl<R> CoherenceController<R> {
         let (enq_time, req) = engine.queues[class_index(pick)]
             .pop_front()
             .expect("picked a non-empty queue");
-        let delay = now.saturating_sub(enq_time);
-        engine.stats.queue_delay.record(delay as f64);
-        engine.stats.queue_delay_hist.record(delay);
+        engine
+            .stats
+            .queue_delay_hist
+            .record(now.saturating_sub(enq_time));
         Some((req, pick))
     }
 
@@ -282,7 +267,6 @@ impl<R> CoherenceController<R> {
             out.arrivals += e.stats.arrivals;
             out.handled += e.stats.handled;
             out.occupancy += e.stats.occupancy;
-            out.queue_delay.merge(&e.stats.queue_delay);
             out.queue_delay_hist.merge(&e.stats.queue_delay_hist);
         }
         out
@@ -315,7 +299,7 @@ impl<R> ccn_sim::Component for CoherenceController<R> {
             .counter("handled", agg.handled)
             .counter("occupancy_cycles", agg.occupancy)
             .counter("queue_depth", total_depth as u64)
-            .gauge("mean_queue_delay", agg.queue_delay.mean())
+            .gauge("mean_queue_delay", agg.queue_delay_hist.mean())
             .gauge(
                 "p99_queue_delay",
                 agg.queue_delay_hist.quantile(0.99).unwrap_or(0.0),
@@ -330,7 +314,7 @@ impl<R> ccn_sim::Component for CoherenceController<R> {
                 .counter("handled", e.stats.handled)
                 .counter("occupancy_cycles", e.stats.occupancy)
                 .counter("queue_depth", self.queue_depth(idx) as u64)
-                .gauge("mean_queue_delay", e.stats.queue_delay.mean())
+                .gauge("mean_queue_delay", e.stats.queue_delay_hist.mean())
                 .gauge("mean_interarrival", e.stats.interarrival.mean()),
             );
         }
@@ -423,16 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_reports_idleness() {
-        let mut c = cc(EnginePolicy::Single);
-        assert!(c.enqueue(EngineRole::Local, 0, MsgClass::BusRequest, 0, 1));
-        c.dispatch(0, 0);
-        c.complete_handler(0, 0, 100);
-        assert!(!c.enqueue(EngineRole::Local, 0, MsgClass::BusRequest, 50, 2));
-        assert!(c.enqueue(EngineRole::Local, 0, MsgClass::BusRequest, 100, 3));
-    }
-
-    #[test]
     fn drained_means_every_queue_is_empty() {
         let mut c = cc(EnginePolicy::LocalRemote);
         assert!(c.is_drained());
@@ -452,7 +426,7 @@ mod tests {
         assert_eq!(s.arrivals, 1);
         assert_eq!(s.handled, 1);
         assert_eq!(s.occupancy, 30);
-        assert_eq!(s.queue_delay.mean(), 10.0);
+        assert_eq!(s.queue_delay_hist.mean(), 10.0);
         assert!((c.engine_stats(0).utilization(100) - 0.3).abs() < 1e-12);
     }
 
@@ -476,8 +450,7 @@ mod tests {
         assert_eq!(s.queue_delay_hist.count(), 2);
         assert_eq!(s.queue_delay_hist.min(), Some(10));
         assert_eq!(s.queue_delay_hist.max(), Some(16));
-        // Histogram mean agrees exactly with the accumulator mean.
-        assert_eq!(s.queue_delay_hist.mean(), s.queue_delay.mean());
+        assert_eq!(s.queue_delay_hist.mean(), 13.0);
         let snap = ccn_sim::Component::stats_snapshot(&c);
         assert_eq!(snap.get_counter("queue_depth"), Some(0));
     }

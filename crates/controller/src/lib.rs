@@ -20,7 +20,6 @@ pub mod dircache;
 pub mod dispatch;
 pub mod policy;
 
-pub use arch::{arch_by_name, ControllerArch, ARCHITECTURES};
 pub use dircache::DirCache;
 pub use dispatch::{
     CoherenceController, ControllerStats, EngineRole, EngineStats, NUM_ENGINE_ROLES,

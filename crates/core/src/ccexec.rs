@@ -62,7 +62,7 @@ impl Machine {
                 let home = self.map.home_of(line);
                 let mut msg = self.msg(n, home, MsgKind::WritebackReq, line, NodeId(n as u16));
                 msg.payload = payload;
-                self.send(run.sends[0], msg);
+                self.send(self.send_scratch[0], msg);
                 run.end
             }
         };
@@ -76,9 +76,10 @@ impl Machine {
         self.map.home_of(line).index()
     }
 
-    /// Expands `kind` into the machine's scratch step buffer and executes
-    /// it. The buffer is reused across invocations, so the handler hot
-    /// path never allocates.
+    /// Expands `kind` into the machine's scratch handler spec and
+    /// executes it. The `SendMsg` completion times land in
+    /// `send_scratch`. Both buffers are sized for this machine's widest
+    /// handler, so the handler hot path never allocates.
     fn run_spec(
         &mut self,
         n: usize,
@@ -100,14 +101,15 @@ impl Machine {
     }
 
     fn run_scratch(&mut self, n: usize, line: LineAddr, start: Cycle) -> StepRun {
-        let kind = self.step_scratch.kind();
+        let kind = self.step_scratch.kind;
         self.handler_counts[kind.index()] += 1;
         let run = run_steps(
             &mut self.nodes[n],
             &self.cfg,
-            self.step_scratch.steps(),
+            &self.step_scratch.steps,
             line,
             start,
+            &mut self.send_scratch,
         );
         // Every handler execution is one hop. The no-direct-path
         // write-back serves no transaction: its hop carries the evicting
@@ -208,7 +210,7 @@ impl Machine {
         let run = self.run_spec(n, handler, Fanout::NONE, line, now);
         let home = self.map.home_of(line);
         let msg = self.msg(n, home, msg_kind, line, NodeId(n as u16));
-        self.send(run.sends[0], msg);
+        self.send(self.send_scratch[0], msg);
         run.end
     }
 
@@ -252,7 +254,7 @@ impl Machine {
                 };
                 let run = self.run_spec(n, handler, Fanout::NONE, line, now);
                 let msg = self.msg(n, owner, fwd_kind, line, requester);
-                self.send(run.sends[0], msg);
+                self.send(self.send_scratch[0], msg);
                 run.end
             }
             DirOutcome::Act(DirAction::Supply {
@@ -334,14 +336,12 @@ impl Machine {
         };
         let run = self.run_spec(n, handler, fan, line, now);
 
-        // Invalidation requests go out first, in step order.
-        debug_assert!(run.sends.len() as u32 >= remote_invs);
-        let mut sends = run.sends.iter().copied();
+        // Invalidation requests go out first, in step order; the response
+        // takes the send after them.
         if let Some(inv) = &invalidate {
-            for sharer in inv.iter() {
-                let t = sends.next().expect("an inv send slot per sharer");
+            for (i, sharer) in inv.iter().enumerate() {
                 let msg = self.msg(n, sharer, MsgKind::InvReq, line, requester);
-                self.send(t, msg);
+                self.send(self.send_scratch[i], msg);
             }
         }
         if local_req {
@@ -359,7 +359,11 @@ impl Machine {
             } else {
                 MsgKind::DataResp
             };
-            let t = sends.next().unwrap_or(run.end);
+            let t = self
+                .send_scratch
+                .get(remote_invs as usize)
+                .copied()
+                .unwrap_or(run.end);
             let mut msg = self.msg(n, requester, resp_kind, line, requester);
             msg.payload = payload;
             msg.acks_pending = remote_invs as u16;
@@ -457,7 +461,7 @@ impl Machine {
             let run = self.run_spec(n, HandlerKind::OwnerFwdMissReply, Fanout::NONE, line, now);
             let home = self.map.home_of(line);
             let reply = self.msg(n, home, MsgKind::FwdMiss, line, msg.requester);
-            self.send(run.sends[0], reply);
+            self.send(self.send_scratch[0], reply);
             return run.end;
         }
         let exclusive = msg.kind == MsgKind::ReadExclFwd;
@@ -483,7 +487,7 @@ impl Machine {
         };
         let mut data = self.msg(n, msg.requester, data_kind, line, msg.requester);
         data.payload = payload;
-        self.send(run.sends[0], data);
+        self.send(self.send_scratch[0], data);
         if !home_requester {
             let second_kind = if exclusive {
                 MsgKind::OwnershipAck
@@ -493,7 +497,7 @@ impl Machine {
             let home = self.map.home_of(line);
             let mut second = self.msg(n, home, second_kind, line, msg.requester);
             second.payload = payload;
-            self.send(run.sends[1], second);
+            self.send(self.send_scratch[1], second);
         }
         run.end
     }
@@ -516,7 +520,7 @@ impl Machine {
             ack.payload = payload;
             ack.acks_pending = 1;
         }
-        self.send(run.sends[0], ack);
+        self.send(self.send_scratch[0], ack);
         run.end
     }
 
@@ -571,7 +575,7 @@ impl Machine {
                         msg.line,
                         done.requester,
                     );
-                    self.send(run.sends[0], note);
+                    self.send(self.send_scratch[0], note);
                     self.drain_pending(n, msg.line, run.end);
                     run.end
                 }
@@ -779,7 +783,7 @@ impl Machine {
             };
             let mut resp = self.msg(n, request.requester, kind, msg.line, request.requester);
             resp.payload = payload;
-            self.send(run.sends[0], resp);
+            self.send(self.send_scratch[0], resp);
         }
         self.drain_pending(n, msg.line, run.end);
         run.end

@@ -1,7 +1,7 @@
 //! System configuration: the paper's Section 2 parameters.
 
 use ccn_bus::BusConfig;
-use ccn_controller::{ControllerArch, EnginePolicy};
+use ccn_controller::EnginePolicy;
 use ccn_mem::CacheGeometry;
 use ccn_net::NetConfig;
 use ccn_protocol::{DirFormat, EngineKind};
@@ -341,31 +341,31 @@ impl Architecture {
         ]
     }
 
-    /// The architecture definition behind this selector — the single
-    /// source of truth for engine kind, engine policy, and label (see
-    /// [`ccn_controller::arch`]).
-    pub fn controller(self) -> &'static dyn ControllerArch {
+    /// The engine implementation: custom hardware or a protocol processor.
+    pub fn engine(self) -> EngineKind {
         match self {
-            Architecture::Hwc => &ccn_controller::arch::HWC,
-            Architecture::Ppc => &ccn_controller::arch::PPC,
-            Architecture::TwoHwc => &ccn_controller::arch::TWO_HWC,
-            Architecture::TwoPpc => &ccn_controller::arch::TWO_PPC,
+            Architecture::Hwc | Architecture::TwoHwc => EngineKind::Hwc,
+            Architecture::Ppc | Architecture::TwoPpc => EngineKind::Ppc,
         }
     }
 
-    /// The engine implementation.
-    pub fn engine(self) -> EngineKind {
-        self.controller().engine()
-    }
-
-    /// The engine policy.
+    /// The engine policy: one engine, or a local/remote pair.
     pub fn engines(self) -> EnginePolicy {
-        self.controller().engines()
+        match self {
+            Architecture::Hwc | Architecture::Ppc => EnginePolicy::Single,
+            Architecture::TwoHwc | Architecture::TwoPpc => EnginePolicy::LocalRemote,
+        }
     }
 
-    /// The paper's label.
+    /// The paper's label; reports derive the same string from the engine
+    /// kind and policy ([`ccn_controller::arch::report_label`]).
     pub fn name(self) -> &'static str {
-        self.controller().name()
+        match self {
+            Architecture::Hwc => "HWC",
+            Architecture::Ppc => "PPC",
+            Architecture::TwoHwc => "2HWC",
+            Architecture::TwoPpc => "2PPC",
+        }
     }
 }
 
@@ -406,10 +406,19 @@ mod tests {
 
     #[test]
     fn architecture_mapping() {
+        assert_eq!(Architecture::Hwc.engine(), EngineKind::Hwc);
         assert_eq!(Architecture::TwoPpc.engine(), EngineKind::Ppc);
         assert_eq!(Architecture::TwoPpc.engines(), EnginePolicy::LocalRemote);
         assert_eq!(Architecture::Hwc.engines(), EnginePolicy::Single);
         assert_eq!(Architecture::all().len(), 4);
+    }
+
+    #[test]
+    fn paper_architectures_label_as_their_names() {
+        for arch in Architecture::all() {
+            let label = ccn_controller::arch::report_label(arch.engines(), arch.engine());
+            assert_eq!(label, arch.name());
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@ use ccn_mem::{
 use ccn_net::Network;
 use ccn_obs::flight::{Category, FlightEvent, FlightRecorder};
 use ccn_protocol::directory::{DirRequestKind, DirState, SharerBitmap, SharerSet};
-use ccn_protocol::{Msg, MsgClass};
-use ccn_sim::{Component, ComponentStats, Cycle, EventQueue, FxHashMap, FxHashSet, Port};
+use ccn_protocol::handlers::{Fanout, HandlerSpec, Step};
+use ccn_protocol::{HandlerKind, Msg, MsgClass};
+use ccn_sim::{Component, ComponentStats, Cycle, EventQueue, FxHashMap};
 use ccn_workloads::{Application, MachineShape, Op, SegmentProgram};
 
 use ccn_controller::EngineRole;
@@ -39,33 +40,6 @@ pub(crate) enum Event {
     /// A network message reaches its destination controller.
     MsgArrive(Msg),
 }
-
-// ---------------------------------------------------------------
-// Ports
-//
-// Components never schedule raw events at each other; every
-// cross-component interaction goes through one of these named, typed
-// endpoints. A port is a zero-cost wrapper over the calendar queue (same
-// timestamp, same insertion order), so routing through it cannot change
-// simulated behavior — it only makes the machine's wiring explicit and
-// greppable. Wake-ups reach `CC_WORK` only through `Machine::arm_cc`,
-// which folds a wake-up into an adjacent one instead of sending it.
-// ---------------------------------------------------------------
-
-/// Wakes (or retries) a processor: bus/controller/sync → processor.
-pub(crate) const PROC_RESUME: Port<u32, Event> = Port::new("proc.resume", Event::ProcResume);
-
-/// Kicks a protocol engine's dispatch loop: bus/NI → coherence controller,
-/// carrying the number of dispatch attempts.
-const CC_WORK: Port<(u16, u8, u64), Event> =
-    Port::new("node.cc.work", |(node, engine, attempts)| Event::CcWork {
-        node,
-        engine,
-        attempts,
-    });
-
-/// Delivers a message at its destination: network → network interface.
-pub(crate) const MSG_ARRIVE: Port<Msg, Event> = Port::new("net.deliver", Event::MsgArrive);
 
 /// Which local processors cache a line (the machine-side view that backs
 /// both bus snooping and the bus-side duplicate directory).
@@ -190,8 +164,6 @@ pub struct Machine {
     pub(crate) measure_start: Cycle,
     pub(crate) done_count: usize,
     pub(crate) workload_name: String,
-    /// Pages already assigned under the first-touch policy.
-    pub(crate) touched_pages: FxHashSet<u64>,
     /// End-to-end latency of every completed L2 miss (block to fill),
     /// in cycles: full distribution, machine-wide.
     pub(crate) miss_latency: ccn_sim::Histogram,
@@ -217,11 +189,15 @@ pub struct Machine {
     /// [`HandlerKind::index`](ccn_protocol::HandlerKind::index). A fixed
     /// array rather than a map: the dispatch path bumps a counter per
     /// event and must not touch the allocator.
-    pub(crate) handler_counts: [u64; ccn_protocol::HandlerKind::COUNT],
-    /// Reusable step buffer for handler execution: every handler
-    /// invocation fills this buffer in place instead of building a fresh
-    /// step vector, so the dispatch hot path never allocates.
-    pub(crate) step_scratch: ccn_protocol::handlers::StepBuf,
+    pub(crate) handler_counts: [u64; HandlerKind::COUNT],
+    /// The handler being executed: every handler invocation refills this
+    /// spec in place instead of building a fresh step vector.
+    pub(crate) step_scratch: HandlerSpec,
+    /// Completion times of the executing handler's `SendMsg` steps.
+    /// [`Machine::new`] sizes this buffer and `step_scratch` for the
+    /// widest handler the machine can run, so the dispatch hot path never
+    /// allocates.
+    pub(crate) send_scratch: Vec<Cycle>,
     /// Reusable buffer for barrier releases: [`SyncState::barrier_arrive`]
     /// fills it with the processors to wake, so barrier episodes never
     /// hand ownership of a fresh `Vec` around.
@@ -282,7 +258,7 @@ impl Machine {
             .into_iter()
             .enumerate()
             .map(|(i, segments)| {
-                PROC_RESUME.send(&mut queue, 0, i as u32);
+                queue.schedule(0, Event::ProcResume(i as u32));
                 Proc {
                     node: i / cfg.procs_per_node,
                     slot: (i % cfg.procs_per_node) as u8,
@@ -312,6 +288,19 @@ impl Machine {
             cfg.lat.lock_handoff,
         );
         let nodes_len = nodes.len();
+        // Size the handler scratch for the widest handler this machine
+        // can run: every remote node plus local copies to invalidate.
+        let widest = Fanout {
+            remote_invs: cfg.nodes as u32 - 1,
+            local_inv: true,
+        };
+        let mut step_scratch = HandlerSpec::build(HandlerKind::all()[0], widest);
+        let mut max_sends = 0;
+        for &kind in HandlerKind::all() {
+            step_scratch.fill(kind, widest);
+            let sends = step_scratch.steps.iter().filter(|s| **s == Step::SendMsg);
+            max_sends = max_sends.max(sends.count());
+        }
         Ok(Machine {
             cfg,
             map,
@@ -326,7 +315,6 @@ impl Machine {
             measure_start: 0,
             done_count: 0,
             workload_name: app.name(),
-            touched_pages: FxHashSet::default(),
             miss_latency: ccn_sim::Histogram::new(),
             node_miss_latency: vec![ccn_sim::Histogram::new(); nodes_len],
             sampler: None,
@@ -334,8 +322,9 @@ impl Machine {
             flight: None,
             flight_key: None,
             useless_invalidations: 0,
-            handler_counts: [0; ccn_protocol::HandlerKind::COUNT],
-            step_scratch: ccn_protocol::handlers::StepBuf::new(),
+            handler_counts: [0; HandlerKind::COUNT],
+            step_scratch,
+            send_scratch: Vec::with_capacity(max_sends),
             barrier_scratch: Vec::with_capacity(nprocs),
         })
     }
@@ -534,7 +523,7 @@ impl Machine {
         loop {
             if t >= horizon {
                 self.procs[p].local_time = t;
-                PROC_RESUME.send(&mut self.queue, t, p as u32);
+                self.queue.schedule(t, Event::ProcResume(p as u32));
                 return;
             }
             // An op taken from `pending` is a *retry* of a blocked access:
@@ -618,7 +607,7 @@ impl Machine {
                         BarrierOutcome::Release { at } => {
                             let now = self.queue.now();
                             for &w in &released {
-                                PROC_RESUME.send(&mut self.queue, at.max(now), w.0);
+                                self.queue.schedule(at.max(now), Event::ProcResume(w.0));
                             }
                             self.barrier_scratch = released;
                             t = at.max(t);
@@ -637,7 +626,7 @@ impl Machine {
                     t += 1;
                     if let Some((next, at)) = self.sync.unlock(id, t) {
                         let now = self.queue.now();
-                        PROC_RESUME.send(&mut self.queue, at.max(now), next.0);
+                        self.queue.schedule(at.max(now), Event::ProcResume(next.0));
                     }
                 }
                 Op::StartMeasurement => {
@@ -689,7 +678,7 @@ impl Machine {
             Component::reset_stats(node);
         }
         self.useless_invalidations = 0;
-        self.handler_counts = [0; ccn_protocol::HandlerKind::COUNT];
+        self.handler_counts = [0; HandlerKind::COUNT];
         self.miss_latency = ccn_sim::Histogram::new();
         for h in self.node_miss_latency.iter_mut() {
             *h = ccn_sim::Histogram::new();
@@ -723,7 +712,7 @@ impl Machine {
             // The first access to a page anywhere in the machine homes it
             // on the toucher's node (explicit hints take precedence).
             let page = self.map.page_of_line(line);
-            if self.touched_pages.insert(page) && !self.map.pages().is_placed(page) {
+            if !self.map.pages().is_placed(page) {
                 self.map.pages_mut().place(page, NodeId(n as u16));
             }
         }
@@ -908,7 +897,7 @@ impl Machine {
     pub(crate) fn send_msg(&mut self, time: Cycle, msg: Msg) {
         let bytes = msg.size_bytes(self.cfg.line_bytes);
         let arrival = self.net.send(time, msg.from, msg.to, bytes);
-        MSG_ARRIVE.send(&mut self.queue, arrival, msg);
+        self.queue.schedule(arrival, Event::MsgArrive(msg));
     }
 
     pub(crate) fn enqueue_cc(
@@ -926,15 +915,11 @@ impl Machine {
             CcRequest::Net(msg) => msg.line,
         };
         let engine = self.nodes[n].cc.engine_for(role, line.0);
-        let idle = self.nodes[n].cc.enqueue(role, line.0, class, time, req);
+        self.nodes[n].cc.enqueue(role, line.0, class, time, req);
         // Wake the engine now if idle, or when it frees up otherwise: the
         // in-flight handler was scheduled before this request arrived and
         // cannot know about it.
-        let wake = if idle {
-            time
-        } else {
-            self.nodes[n].cc.busy_until(engine).max(time)
-        };
+        let wake = self.nodes[n].cc.busy_until(engine).max(time);
         let at = wake.max(self.queue.now());
         self.arm_cc(at, n, engine, 1);
     }
@@ -962,7 +947,14 @@ impl Machine {
                 return;
             }
         }
-        CC_WORK.send(&mut self.queue, at, (node, engine, attempts));
+        self.queue.schedule(
+            at,
+            Event::CcWork {
+                node,
+                engine,
+                attempts,
+            },
+        );
     }
 
     /// Runs `attempts` dispatch attempts of `engine` on node `n`, in order.
@@ -1073,7 +1065,7 @@ impl Machine {
             self.procs[p].pending = None;
         }
         let wake = at.max(self.queue.now());
-        PROC_RESUME.send(&mut self.queue, wake, p as u32);
+        self.queue.schedule(wake, Event::ProcResume(p as u32));
     }
 
     /// Removes one processor's copy (L1 + L2 + presence + pin).
@@ -1249,7 +1241,7 @@ impl Machine {
         let mut waiters = mshr.waiters;
         while let Some(w) = self.nodes[n].waiter_pool.pop_front(&mut waiters) {
             let wake = at.max(self.queue.now());
-            PROC_RESUME.send(&mut self.queue, wake, w);
+            self.queue.schedule(wake, Event::ProcResume(w));
         }
     }
 
@@ -1297,16 +1289,12 @@ impl Machine {
         let mut cc_arrivals = 0;
         let mut cc_handled = 0;
         let mut cc_occupancy = 0;
-        let mut delay_sum = 0.0;
-        let mut delay_n = 0u64;
         let mut cc_queue_delay_hist = ccn_sim::Histogram::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let stats = node.cc.stats();
             cc_arrivals += stats.arrivals;
             cc_handled += stats.handled;
             cc_occupancy += stats.occupancy;
-            delay_sum += stats.queue_delay.sum();
-            delay_n += stats.queue_delay.count();
             cc_queue_delay_hist.merge(&stats.queue_delay_hist);
             let engines = (0..node.cc.engines())
                 .map(|e| {
@@ -1317,7 +1305,7 @@ impl Machine {
                         arrivals: es.arrivals,
                         handled: es.handled,
                         occupancy: es.occupancy,
-                        queue_delay_ns: ccn_sim::cycles_to_ns(1) * es.queue_delay.mean(),
+                        queue_delay_ns: ccn_sim::cycles_to_ns(1) * es.queue_delay_hist.mean(),
                         class_arrivals: es.class_arrivals,
                     }
                 })
@@ -1326,16 +1314,17 @@ impl Machine {
                 arrivals: stats.arrivals,
                 handled: stats.handled,
                 occupancy: stats.occupancy,
-                queue_delay_ns: ccn_sim::cycles_to_ns(1) * stats.queue_delay.mean(),
+                queue_delay_ns: ccn_sim::cycles_to_ns(1) * stats.queue_delay_hist.mean(),
                 queue_delay_hist: stats.queue_delay_hist,
                 miss_latency_hist: self.node_miss_latency[i].clone(),
                 engines,
             });
         }
+        let delay_n = cc_queue_delay_hist.count();
         let queue_delay_ns = if delay_n == 0 {
             0.0
         } else {
-            ccn_sim::cycles_to_ns(1) * delay_sum / delay_n as f64
+            ccn_sim::cycles_to_ns(1) * cc_queue_delay_hist.sum() as f64 / delay_n as f64
         };
         SimReport {
             architecture: ccn_controller::arch::report_label(self.cfg.engines, self.cfg.engine),
@@ -1353,7 +1342,7 @@ impl Machine {
             barriers: self.sync.barrier_episodes(),
             locks: self.sync.lock_stats(),
             handler_counts: {
-                let mut counts: Vec<(String, u64)> = ccn_protocol::HandlerKind::all()
+                let mut counts: Vec<(String, u64)> = HandlerKind::all()
                     .iter()
                     .zip(self.handler_counts.iter())
                     .filter(|&(_, &v)| v != 0)

@@ -7,8 +7,8 @@
 //! memory controller ([`MemCtrl`]) that fronts both the interleaved data
 //! DRAM and the directory storage. Components never call each other
 //! directly — cross-component interactions are either resource
-//! reservations (handled by each component's `Server`s) or messages sent
-//! through the typed ports in [`machine`](crate::machine).
+//! reservations (handled by each component's `Server`s) or events on
+//! the machine's queue (the `Event` kinds in [`machine`](crate::machine)).
 //!
 //! Every component implements [`Component`], so one canonical walk
 //! snapshots or resets the whole node — this is the stats spine that

@@ -32,69 +32,11 @@ pub(crate) enum CcRequest {
     Writeback { line: LineAddr, payload: u64 },
 }
 
-/// Inline capacity for `SendMsg` completion times: the 63-sharer
-/// invalidation fan-out of a full 64-node machine plus the data response,
-/// with headroom. Larger machines (coarse/limited formats reach 1024
-/// nodes) spill to the heap — a cold path that never runs in the
-/// zero-alloc measured-phase configurations.
-const SEND_BUF_CAPACITY: usize = 66;
-
-/// Completion times of a handler's `SendMsg` steps. Stored inline so a
-/// handler invocation on machines up to 64 nodes never allocates; a
-/// wider fan-out moves every recorded time into a spill vector and grows
-/// from there. Dereferences to a `[Cycle]` slice either way.
-#[derive(Debug, Clone)]
-pub(crate) struct SendTimes {
-    len: usize,
-    times: [Cycle; SEND_BUF_CAPACITY],
-    spill: Vec<Cycle>,
-}
-
-impl Default for SendTimes {
-    fn default() -> Self {
-        SendTimes {
-            len: 0,
-            times: [0; SEND_BUF_CAPACITY],
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl SendTimes {
-    #[inline]
-    fn push(&mut self, t: Cycle) {
-        if !self.spill.is_empty() {
-            self.spill.push(t);
-        } else if self.len < SEND_BUF_CAPACITY {
-            self.times[self.len] = t;
-            self.len += 1;
-        } else {
-            self.spill.reserve(2 * SEND_BUF_CAPACITY);
-            self.spill.extend_from_slice(&self.times[..self.len]);
-            self.spill.push(t);
-        }
-    }
-}
-
-impl std::ops::Deref for SendTimes {
-    type Target = [Cycle];
-
-    fn deref(&self) -> &[Cycle] {
-        if self.spill.is_empty() {
-            &self.times[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
 /// Timing results of executing a handler's step list.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StepRun {
     /// Cycle the engine is released (handler occupancy ends).
     pub end: Cycle,
-    /// Completion times of the `SendMsg` steps, in step order.
-    pub sends: SendTimes,
     /// Critical-beat time of the `BusDeliver` step, if present.
     pub deliver: Option<Cycle>,
     /// Time local memory data became available, if a `MemRead` ran.
@@ -104,17 +46,21 @@ pub(crate) struct StepRun {
 /// Executes `steps` on `node` starting at `start`, reserving bus,
 /// memory, and directory resources as it goes. The engine is considered
 /// occupied for the whole interval (the paper's occupancy definition).
+/// `sends` is replaced with the completion times of the `SendMsg` steps,
+/// in step order.
 pub(crate) fn run_steps(
     node: &mut Node,
     cfg: &SystemConfig,
     steps: &[Step],
     line: LineAddr,
     start: Cycle,
+    sends: &mut Vec<Cycle>,
 ) -> StepRun {
     let table = OccupancyTable::for_engine(cfg.engine);
     let lat = &cfg.lat;
     let mut t = start;
     let mut run = StepRun::default();
+    sends.clear();
     for step in steps {
         match *step {
             Step::Op(op) => t += table.cost(op),
@@ -179,7 +125,7 @@ pub(crate) fn run_steps(
             }
             Step::SendMsg => {
                 t += table.cost(SubOp::SendMsgHeader);
-                run.sends.push(t);
+                sends.push(t);
             }
             Step::SendData => {
                 t += table.cost(SubOp::StartDataTransfer);
@@ -206,7 +152,8 @@ mod tests {
         let mut n = node();
         // Warm the directory cache: Table 4 occupancies assume a hit.
         n.mem.dircache.read(LineAddr(0));
-        let run = run_steps(&mut n, &cfg, &spec.steps, LineAddr(0), 1000);
+        let mut sends = Vec::new();
+        let run = run_steps(&mut n, &cfg, &spec.steps, LineAddr(0), 1000, &mut sends);
         let static_occ = spec.occupancy(
             cfg.engine,
             &ccn_protocol::handlers::StaticStepCosts::default(),
@@ -216,7 +163,7 @@ mod tests {
             static_occ,
             "dynamic must equal static when idle"
         );
-        assert_eq!(run.sends.len(), 1);
+        assert_eq!(sends.len(), 1);
         assert!(run.mem_data.is_some());
     }
 
@@ -229,8 +176,9 @@ mod tests {
         for _ in 0..10 {
             n.mem.banks.access(LineAddr(0), 0);
         }
-        let idle = run_steps(&mut node(), &cfg, &spec.steps, LineAddr(0), 0).end;
-        let busy = run_steps(&mut n, &cfg, &spec.steps, LineAddr(0), 0).end;
+        let sends = &mut Vec::new();
+        let idle = run_steps(&mut node(), &cfg, &spec.steps, LineAddr(0), 0, sends).end;
+        let busy = run_steps(&mut n, &cfg, &spec.steps, LineAddr(0), 0, sends).end;
         assert!(busy > idle, "bank contention must extend the handler");
     }
 
@@ -239,8 +187,9 @@ mod tests {
         let cfg = SystemConfig::small();
         let spec = HandlerSpec::build(HandlerKind::HomeReadDirtyRemote, Fanout::NONE);
         let mut n = node();
-        let cold = run_steps(&mut n, &cfg, &spec.steps, LineAddr(9), 0);
-        let warm = run_steps(&mut n, &cfg, &spec.steps, LineAddr(9), cold.end);
+        let sends = &mut Vec::new();
+        let cold = run_steps(&mut n, &cfg, &spec.steps, LineAddr(9), 0, sends);
+        let warm = run_steps(&mut n, &cfg, &spec.steps, LineAddr(9), cold.end, sends);
         assert_eq!(
             cold.end - (warm.end - cold.end),
             cfg.lat.dir_dram_latency,
@@ -249,22 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn send_times_spill_beyond_the_inline_buffer() {
-        let mut sends = SendTimes::default();
-        for t in 0..(SEND_BUF_CAPACITY as Cycle + 1000) {
-            sends.push(t);
-        }
-        assert_eq!(sends.len(), SEND_BUF_CAPACITY + 1000);
-        assert!(sends.iter().enumerate().all(|(i, t)| *t == i as Cycle));
-    }
-
-    #[test]
     fn invalidation_fanout_sends_in_order() {
         let cfg = SystemConfig::small();
         let spec = HandlerSpec::build(HandlerKind::HomeReadExclShared, Fanout::remote(3));
         let mut n = node();
-        let run = run_steps(&mut n, &cfg, &spec.steps, LineAddr(0), 0);
-        assert_eq!(run.sends.len(), 4); // 3 invalidations + data response
-        assert!(run.sends.windows(2).all(|w| w[0] < w[1]));
+        let mut sends = vec![7; 100];
+        run_steps(&mut n, &cfg, &spec.steps, LineAddr(0), 0, &mut sends);
+        assert_eq!(sends.len(), 4); // 3 invalidations + data response
+        assert!(sends.windows(2).all(|w| w[0] < w[1]));
     }
 }

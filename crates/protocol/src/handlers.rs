@@ -368,92 +368,40 @@ impl TxnPhase {
     }
 }
 
-/// Inline capacity of a [`StepBuf`], sized for the largest expansion the
-/// protocol produces on a 64-node machine: `HomeReadExclShared` at the
-/// 63-sharer fan-out runs 12 fixed steps plus two per invalidation
-/// (138 total), with headroom for protocol growth. Wider fan-outs —
-/// 256- and 1024-node machines reach 1023 invalidations — spill to the
-/// heap, a cold path outside the zero-alloc measured configurations.
-pub const STEP_BUF_CAPACITY: usize = 160;
-
-/// A step buffer with a fixed inline store and a heap spill.
+/// A concrete handler instance: kind plus expanded step list.
 ///
-/// Expanding a handler used to build a fresh `Vec<Step>` per invocation —
-/// one heap allocation on the hottest edge of the simulator. A `StepBuf`
-/// lives inside the machine and is refilled in place by
-/// [`fill`](Self::fill); the steady state never touches the allocator.
-/// Expansions wider than [`STEP_BUF_CAPACITY`] (large-machine
-/// invalidation fan-outs) move into a spill vector instead of panicking.
-#[derive(Debug, Clone)]
-pub struct StepBuf {
-    /// The handler the buffer currently holds (`None` until first fill).
-    kind: Option<HandlerKind>,
-    /// Number of valid inline steps (ignored once `spill` is in use).
-    len: usize,
-    /// Inline step storage; only `steps[..len]` is meaningful.
-    steps: [Step; STEP_BUF_CAPACITY],
-    /// Heap overflow store; when non-empty it holds the *entire*
-    /// expansion and the inline array is dead.
-    spill: Vec<Step>,
+/// Table 4 rendering and the occupancy analyses build one per handler
+/// with [`build`](Self::build). The simulation keeps one per machine and
+/// refills it in place with [`fill`](Self::fill) and
+/// [`fill_probe`](Self::fill_probe); the machine sizes it for its widest
+/// handler up front, so the dispatch path never allocates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HandlerSpec {
+    /// The handler this spec describes.
+    pub kind: HandlerKind,
+    /// The steps, in execution order.
+    pub steps: Vec<Step>,
 }
 
-impl StepBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        StepBuf {
-            kind: None,
-            len: 0,
-            steps: [Step::Op(SubOp::Dispatch); STEP_BUF_CAPACITY],
-            spill: Vec::new(),
-        }
+impl HandlerSpec {
+    /// Builds the step sequence for `kind` with the given invalidation
+    /// fan-out (ignored by handlers without fan-out).
+    pub fn build(kind: HandlerKind, fanout: Fanout) -> Self {
+        let mut spec = HandlerSpec {
+            kind,
+            steps: Vec::new(),
+        };
+        spec.fill(kind, fanout);
+        spec
     }
 
-    /// The handler whose expansion the buffer holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer was never filled.
-    pub fn kind(&self) -> HandlerKind {
-        self.kind.expect("step buffer queried before fill")
-    }
-
-    /// The expanded steps, in execution order.
-    pub fn steps(&self) -> &[Step] {
-        if self.spill.is_empty() {
-            &self.steps[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, step: Step) {
-        if !self.spill.is_empty() {
-            self.spill.push(step);
-        } else if self.len < STEP_BUF_CAPACITY {
-            self.steps[self.len] = step;
-            self.len += 1;
-        } else {
-            self.spill.reserve(2 * STEP_BUF_CAPACITY);
-            self.spill.extend_from_slice(&self.steps[..self.len]);
-            self.spill.push(step);
-        }
-    }
-
-    #[inline]
-    fn extend<const N: usize>(&mut self, steps: [Step; N]) {
-        for s in steps {
-            self.push(s);
-        }
-    }
-
-    /// Fills the buffer with the cheap directory-probe sequence used when
-    /// a request only inspects the line (busy / await-writeback):
+    /// Replaces the spec with the cheap directory-probe sequence used
+    /// when a request only inspects the line (busy / await-writeback):
     /// dispatch, request read, directory read, condition.
     pub fn fill_probe(&mut self, kind: HandlerKind) {
-        self.kind = Some(kind);
-        self.len = 0;
-        self.extend([
+        self.kind = kind;
+        self.steps.clear();
+        self.steps.extend([
             Step::Op(SubOp::Dispatch),
             Step::Op(SubOp::ReadReg),
             Step::DirRead,
@@ -461,19 +409,16 @@ impl StepBuf {
         ]);
     }
 
-    /// Replaces the buffer's contents with the step sequence for `kind`
-    /// at the given invalidation fan-out (ignored by handlers without
-    /// fan-out). Previous contents are discarded; the buffer is reused
-    /// across invocations without reallocating, except for fan-outs wide
-    /// enough to overflow the inline store (see [`STEP_BUF_CAPACITY`]).
+    /// Replaces the spec with the step sequence for `kind` at the given
+    /// invalidation fan-out (ignored by handlers without fan-out),
+    /// reusing the step vector's storage.
     pub fn fill(&mut self, kind: HandlerKind, fanout: Fanout) {
         use HandlerKind::*;
         use Step::*;
         use SubOp::*;
-        self.kind = Some(kind);
-        self.len = 0;
-        self.spill.clear();
-        let steps = self;
+        self.kind = kind;
+        self.steps.clear();
+        let steps = &mut self.steps;
         match kind {
             BusReadRemote => {
                 steps.extend([
@@ -825,38 +770,6 @@ impl StepBuf {
             }
         }
     }
-}
-
-impl Default for StepBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A concrete handler instance: kind plus expanded step list.
-///
-/// This is the owned, report-friendly form used by Table 4 rendering and
-/// the occupancy analyses; the simulation hot path expands handlers into
-/// a reused [`StepBuf`] instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandlerSpec {
-    /// The handler this spec describes.
-    pub kind: HandlerKind,
-    /// The steps, in execution order.
-    pub steps: Vec<Step>,
-}
-
-impl HandlerSpec {
-    /// Builds the step sequence for `kind` with the given invalidation
-    /// fan-out (ignored by handlers without fan-out).
-    pub fn build(kind: HandlerKind, fanout: Fanout) -> Self {
-        let mut buf = StepBuf::new();
-        buf.fill(kind, fanout);
-        HandlerSpec {
-            kind,
-            steps: buf.steps().to_vec(),
-        }
-    }
 
     /// Total no-contention occupancy of this handler on `engine`, using the
     /// static costs for dynamic steps (the way Table 4 reports them).
@@ -1041,68 +954,80 @@ mod tests {
         }
     }
 
+    /// The steps of the directory probe `fill_probe` runs.
+    const PROBE: [Step; 4] = [
+        Step::Op(SubOp::Dispatch),
+        Step::Op(SubOp::ReadReg),
+        Step::DirRead,
+        Step::Op(SubOp::Condition),
+    ];
+
     #[test]
-    fn step_buf_reuse_resets_between_fills() {
-        let mut buf = StepBuf::new();
-        assert!(buf.steps().is_empty());
-        buf.fill(HandlerKind::HomeReadExclShared, Fanout::remote(4));
-        let long = buf.steps().len();
-        assert_eq!(buf.kind(), HandlerKind::HomeReadExclShared);
-        assert_eq!(
-            buf.steps(),
-            HandlerSpec::build(HandlerKind::HomeReadExclShared, Fanout::remote(4)).steps
-        );
+    fn reused_spec_resets_between_fills() {
+        let mut spec = HandlerSpec::build(HandlerKind::HomeReadExclShared, Fanout::remote(4));
+        let long = spec.steps.len();
         // Refilling with a shorter handler must not leave stale steps from
         // the longer expansion visible.
-        buf.fill(HandlerKind::ReqInvDone, Fanout::NONE);
-        assert_eq!(buf.kind(), HandlerKind::ReqInvDone);
-        assert!(buf.steps().len() < long);
+        spec.fill(HandlerKind::ReqInvDone, Fanout::NONE);
+        assert_eq!(spec.kind, HandlerKind::ReqInvDone);
+        assert!(spec.steps.len() < long);
         assert_eq!(
-            buf.steps(),
-            HandlerSpec::build(HandlerKind::ReqInvDone, Fanout::NONE).steps
+            spec,
+            HandlerSpec::build(HandlerKind::ReqInvDone, Fanout::NONE)
         );
     }
 
     #[test]
-    fn step_buf_matches_owned_build_for_every_handler() {
-        let mut buf = StepBuf::new();
+    fn probe_after_a_wide_expansion_holds_only_the_probe() {
+        // A probe keeps no step of the expansion before it, however wide.
+        let mut spec = HandlerSpec::build(HandlerKind::HomeReadExclShared, Fanout::remote(200));
+        assert_eq!(spec.steps.len(), 11 + 2 * 200);
+        spec.fill_probe(HandlerKind::HomeReadDirtyRemote);
+        assert_eq!(spec.kind, HandlerKind::HomeReadDirtyRemote);
+        assert_eq!(spec.steps, PROBE);
+    }
+
+    #[test]
+    fn reused_spec_matches_a_fresh_build_for_every_handler() {
+        let wide = Fanout {
+            remote_invs: 200,
+            local_inv: true,
+        };
+        let mut spec = HandlerSpec::build(HandlerKind::ReqInvDone, Fanout::NONE);
         for &kind in HandlerKind::all() {
-            for fanout in [Fanout::NONE, Fanout::remote(3)] {
-                buf.fill(kind, fanout);
+            for fanout in [Fanout::NONE, Fanout::remote(3), wide] {
+                spec.fill(kind, fanout);
                 assert_eq!(
-                    buf.steps(),
-                    HandlerSpec::build(kind, fanout).steps,
-                    "{kind:?} expansion diverged between StepBuf and HandlerSpec"
+                    spec,
+                    HandlerSpec::build(kind, fanout),
+                    "{kind:?} at {fanout:?}: a refilled spec diverged from a fresh one"
                 );
+                spec.fill_probe(kind);
+                assert_eq!((spec.kind, &spec.steps[..]), (kind, &PROBE[..]));
             }
         }
     }
 
     #[test]
-    fn step_buf_holds_the_maximum_machine_fanout() {
-        // 64 nodes -> at most 63 remote invalidations; the largest handler
-        // must fit with room to spare (no silent truncation possible).
-        let mut buf = StepBuf::new();
-        buf.fill(
+    fn widest_64_node_expansion_has_two_steps_per_invalidation() {
+        // 64 nodes -> at most 63 remote invalidations, plus the local one.
+        let spec = HandlerSpec::build(
             HandlerKind::HomeReadExclShared,
             Fanout {
                 remote_invs: 63,
                 local_inv: true,
             },
         );
-        assert_eq!(buf.steps().len(), 12 + 2 * 63);
-        assert!(buf.steps().len() <= STEP_BUF_CAPACITY);
+        assert_eq!(spec.steps.len(), 12 + 2 * 63);
     }
 
     #[test]
-    fn step_buf_spills_for_kilonode_fanouts_and_recovers() {
-        let mut buf = StepBuf::new();
-        buf.fill(HandlerKind::HomeReadExclShared, Fanout::remote(1023));
-        assert_eq!(buf.steps().len(), 11 + 2 * 1023);
-        assert!(matches!(buf.steps()[0], Step::Op(SubOp::Dispatch)));
-        // Refilling with a small expansion returns to the inline store.
-        buf.fill(HandlerKind::HomeReadExclShared, Fanout::remote(3));
-        assert_eq!(buf.steps().len(), 11 + 2 * 3);
+    fn kilonode_fanouts_expand_fully_and_refill_short() {
+        let mut spec = HandlerSpec::build(HandlerKind::HomeReadExclShared, Fanout::remote(1023));
+        assert_eq!(spec.steps.len(), 11 + 2 * 1023);
+        assert!(matches!(spec.steps[0], Step::Op(SubOp::Dispatch)));
+        spec.fill(HandlerKind::HomeReadExclShared, Fanout::remote(3));
+        assert_eq!(spec.steps.len(), 11 + 2 * 3);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! are machine-global: every processor must arrive).
 //!
 //! The catalog is registered in [`PHASE_KINDS`], the same idiom as the
-//! `ccn_controller::ARCHITECTURES` registry: `repro scenario list`
-//! renders it, and the spec parser names it in unknown-kind errors.
+//! `ccn_protocol::DIR_FORMATS` registry: `repro scenario list` renders
+//! it, and the spec parser names it in unknown-kind errors.
 
 use std::collections::BTreeMap;
 

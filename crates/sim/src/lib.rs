@@ -5,15 +5,13 @@
 //!
 //! * [`EventQueue`] — a deterministic time-ordered event queue. Events with
 //!   equal timestamps are delivered in insertion order, so a simulation run
-//!   is exactly reproducible.
+//!   is exactly reproducible. It is generic over the event type: a
+//!   machine model schedules its own events into it.
 //! * [`Server`] — a FIFO *reservation server* used to model bandwidth
 //!   resources (bus address slots, data buses, memory banks, directory DRAM,
 //!   network ports). A client asks for the resource at time `t` for `d`
 //!   cycles and receives the grant time; the server records utilization and
 //!   queueing-delay statistics as a side effect.
-//! * [`Port`] — a typed message endpoint that wraps a payload into the
-//!   queue's event type, so components talk to each other through named
-//!   channels instead of scheduling raw events ad hoc.
 //! * [`Component`] — the statistics spine: one interface through which a
 //!   machine model walks every hardware component for snapshots
 //!   ([`ComponentStats`]) and measurement-window resets.
@@ -50,7 +48,6 @@ pub mod component;
 mod event;
 pub mod hash;
 pub mod pool;
-mod port;
 mod rng;
 mod server;
 pub mod stats;
@@ -58,7 +55,6 @@ pub mod stats;
 pub use component::{Component, ComponentStats};
 pub use event::EventQueue;
 pub use hash::{FxHashMap, FxHashSet};
-pub use port::Port;
 pub use rng::SplitMix64;
 pub use server::Server;
 pub use stats::Histogram;

@@ -1,6 +1,6 @@
 //! FIFO reservation servers for bandwidth resources.
 
-use crate::stats::{Accumulator, Histogram};
+use crate::stats::Histogram;
 use crate::Cycle;
 
 /// A FIFO *reservation server*: the timing model for a pipelined bandwidth
@@ -35,7 +35,6 @@ pub struct Server {
     name: &'static str,
     next_free: Cycle,
     busy: Cycle,
-    queue_delay: Accumulator,
     queue_delay_hist: Histogram,
 }
 
@@ -47,7 +46,6 @@ impl Server {
             name,
             next_free: 0,
             busy: 0,
-            queue_delay: Accumulator::new(),
             queue_delay_hist: Histogram::new(),
         }
     }
@@ -58,7 +56,6 @@ impl Server {
         let grant = self.next_free.max(time);
         self.next_free = grant + duration;
         self.busy += duration;
-        self.queue_delay.record((grant - time) as f64);
         self.queue_delay_hist.record(grant - time);
         grant
     }
@@ -81,12 +78,12 @@ impl Server {
 
     /// Number of acquisitions served.
     pub fn requests(&self) -> u64 {
-        self.queue_delay.count()
+        self.queue_delay_hist.count()
     }
 
     /// Mean queueing delay in cycles over all acquisitions (0 if none).
     pub fn mean_queue_delay(&self) -> f64 {
-        self.queue_delay.mean()
+        self.queue_delay_hist.mean()
     }
 
     /// The full queueing-delay distribution (log2 buckets, cycles) —
@@ -119,7 +116,6 @@ impl Server {
     /// reports the parallel phase only).
     pub fn reset_stats(&mut self) {
         self.busy = 0;
-        self.queue_delay = Accumulator::new();
         self.queue_delay_hist = Histogram::new();
     }
 }
@@ -185,7 +181,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(20));
-        // The histogram's exact aggregates agree with the accumulator.
         assert_eq!(h.mean(), s.mean_queue_delay());
     }
 }

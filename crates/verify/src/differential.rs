@@ -28,12 +28,12 @@ use ccnuma::{Architecture, FunctionalSnapshot, Machine, Runner, SweepRecord, Sys
 
 /// The four controller architectures under comparison.
 ///
-/// These are the config-level selectors; each resolves to its
-/// `ccn_controller::arch::ControllerArch` entry via
-/// [`Architecture::controller`]. A fifth architecture registered behind
-/// that seam (see `docs/MODEL.md`) joins the sweep by being appended
-/// here — appended, not inserted: the conformance digests render
-/// snapshots in this order, so reordering would re-key every golden.
+/// These are the config-level selectors; each maps to an engine kind
+/// and an engine policy ([`Architecture::engine`],
+/// [`Architecture::engines`]). A fifth [`Architecture`] variant (see
+/// `docs/MODEL.md`) joins the sweep by being appended here — appended,
+/// not inserted: the conformance digests render snapshots in this
+/// order, so reordering would re-key every golden.
 pub const ARCHS: [Architecture; 4] = [
     Architecture::Hwc,
     Architecture::Ppc,

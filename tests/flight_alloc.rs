@@ -14,11 +14,16 @@
 //! controller queues: the key-value mix on 8x2 PPC. Its pending events
 //! must stay inside the event slab `Machine::new` sizes, which holds
 //! only while queued requests do not each keep a wake-up of their own
-//! pending.
+//! pending. The same mix on 128x1 HWC with four-pointer limited
+//! directories holds the handler scratch to zero as well: its
+//! overflowed lines broadcast invalidations to up to 127 nodes from one
+//! handler, and `Machine::new` sizes the step and send-time buffers for
+//! that fan-out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use ccn_bench::golden::kv_mix_spec;
+use ccn_protocol::DirFormat;
 use ccn_scenario::{scenario_config, Scenario};
 use ccn_workloads::suite::SuiteApp;
 use ccnuma::experiments::{config_for, ConfigMods, Options};
@@ -85,18 +90,27 @@ fn recorder_on_measured_phase_allocates_a_bounded_number_of_times() {
     }
 
     // Recorder off: no allocation at all.
-    let cfg = scenario_config(Architecture::Ppc, 8, 2);
-    let mut machine = Machine::new(cfg, &Scenario::new(kv_mix_spec())).expect("valid config");
-    ccn_sim::alloc_gate::request();
-    let report = machine.run();
-    let (allocs, bytes) = ccn_sim::alloc_gate::counts();
-    ccn_sim::alloc_gate::reset();
-    assert!(report.cc_arrivals > 0, "the run queued controller work");
-    assert_eq!(
-        allocs,
-        0,
-        "kv-mix on 8x2 PPC, recorder off: the measured phase allocated {allocs} time(s) \
-         ({bytes} bytes) at a peak of {} pending events",
-        machine.max_pending_events()
-    );
+    let machines = [
+        ("8x2 PPC", scenario_config(Architecture::Ppc, 8, 2)),
+        (
+            "128x1 HWC limited:4",
+            scenario_config(Architecture::Hwc, 128, 1)
+                .with_dir_format(DirFormat::Limited { ptrs: 4 }),
+        ),
+    ];
+    for (name, cfg) in machines {
+        let mut machine = Machine::new(cfg, &Scenario::new(kv_mix_spec())).expect("valid config");
+        ccn_sim::alloc_gate::request();
+        let report = machine.run();
+        let (allocs, bytes) = ccn_sim::alloc_gate::counts();
+        ccn_sim::alloc_gate::reset();
+        assert!(report.cc_arrivals > 0, "the run queued controller work");
+        assert_eq!(
+            allocs,
+            0,
+            "kv-mix on {name}, recorder off: the measured phase allocated {allocs} time(s) \
+             ({bytes} bytes) at a peak of {} pending events",
+            machine.max_pending_events()
+        );
+    }
 }

@@ -16,8 +16,9 @@
 //!   queueing delay and functional digest of every Table 6 application
 //!   on all four architectures at the quick scale, plus twins of the
 //!   host-time benchmark's slow-network and key-value machines, the
-//!   1024-node machine of the scaling study, and a 128-node key-value
-//!   run whose handlers fan out past 64 nodes.
+//!   1024-node machine of the scaling study, a 128-node key-value
+//!   run whose handlers fan out past 64 nodes, and quick Ocean under a
+//!   limited-pointer and a coarse-region directory.
 //!
 //! Any simulator change that moves one of these shows up as a diff with
 //! the offending line. When the change is intentional, regenerate the
@@ -74,16 +75,43 @@ fn latency_probes() -> String {
 
 /// State-space coverage of the model checker on the small configurations.
 /// Deterministic: BFS order and the canonical encoding fix the counts.
+/// After the two full-map spaces come the CI stress shapes of the scaled
+/// formats: coarse regions rounding on 3 nodes, one pointer overflowing
+/// at the second sharer, two pointers held together on 4 nodes, and a
+/// 1-slot sparse home recalling between lines.
 fn model_space() -> String {
+    let deep = Bounds::default().depth;
     let mut out = String::new();
-    for (nodes, lines) in [(2u16, 1u8), (3, 1)] {
+    for (format, nodes, lines, depth) in [
+        (DirFormat::FullMap, 2u16, 1u8, deep),
+        (DirFormat::FullMap, 3, 1, deep),
+        (DirFormat::Coarse { region: 2 }, 3, 1, deep),
+        (DirFormat::Limited { ptrs: 1 }, 3, 1, deep),
+        (DirFormat::Limited { ptrs: 2 }, 4, 1, 8),
+        (DirFormat::Sparse { slots: 1 }, 2, 3, 6),
+    ] {
         let cfg = ModelConfig {
             nodes,
             lines,
+            format,
             ..ModelConfig::default()
         };
-        let report = explore(&cfg, &Bounds::default());
-        let _ = writeln!(out, "{nodes} nodes / {lines} line(s): {}", report.summary());
+        let report = explore(
+            &cfg,
+            &Bounds {
+                depth,
+                ..Bounds::default()
+            },
+        );
+        let label = match format {
+            DirFormat::FullMap => String::new(),
+            f => format!(", {}", f.label()),
+        };
+        let _ = writeln!(
+            out,
+            "{nodes} nodes / {lines} line(s){label}: {}",
+            report.summary()
+        );
     }
     out
 }
@@ -112,9 +140,10 @@ fn conformance_digests() -> String {
 /// Table 6 application on all four architectures at the quick scale,
 /// tiny Ocean on the 32x2 HWC machine with the slow network, a 4x2 PPC
 /// twin of the key-value benchmark mix, the largest machine (tiny Ocean
-/// on 1024x4 HWC), and the key-value mix on 128x1 HWC with four-pointer
+/// on 1024x4 HWC), the key-value mix on 128x1 HWC with four-pointer
 /// limited directories, whose overflowed lines broadcast invalidations
-/// to up to 127 nodes from one handler.
+/// to up to 127 nodes from one handler, and quick Ocean on 4x2 HWC under
+/// `limited:1` and `coarse:2`.
 fn contended_timing() -> String {
     let mut out = String::new();
     let mut run = |name: &str, cfg: SystemConfig, app: &dyn Application| {
@@ -182,6 +211,24 @@ fn contended_timing() -> String {
         scenario_config(Architecture::Hwc, 128, 1).with_dir_format(DirFormat::Limited { ptrs: 4 }),
         &Scenario::new(kv_mix_spec()),
     );
+    // Unscrubbed quick Ocean under a pointer record and a region record:
+    // their digests hash the end-state directory as each format stores it.
+    let ocean = SuiteApp::OceanBase.instantiate(opts.scale);
+    for format in [
+        DirFormat::Limited { ptrs: 1 },
+        DirFormat::Coarse { region: 2 },
+    ] {
+        run(
+            &format!("OceanBase-{}", format.slug()),
+            config_for(
+                SuiteApp::OceanBase,
+                Architecture::Hwc,
+                opts.with_dir_format(format),
+                ConfigMods::default(),
+            ),
+            ocean.as_ref(),
+        );
+    }
     out
 }
 

@@ -26,7 +26,8 @@ use std::time::Instant;
 
 use ccn_harness::Json;
 use ccn_mem::{AccessKind, CacheGeometry, LineAddr, LineState, NodeId, SetAssocCache};
-use ccn_protocol::directory::{DirOutcome, DirRequest, DirRequestKind, Directory};
+use ccn_protocol::directory::{DirFormat, DirOutcome, DirRequest, DirRequestKind, Directory};
+use ccn_protocol::MAX_NODES;
 use ccn_sim::{EventQueue, SplitMix64};
 use ccn_workloads::suite::SuiteApp;
 use ccnuma::experiments::{config_for, ConfigMods, Options};
@@ -313,7 +314,7 @@ fn bench_cache_probes(accesses: u64) -> CaseResult {
 /// Table 4 rows are built from. `rounds` counts script executions; the
 /// reported work counts directory operations.
 fn bench_directory(rounds: u64) -> CaseResult {
-    let mut dir = Directory::with_capacity(NodeId(0), 4096);
+    let mut dir = Directory::with_format(NodeId(0), 4096, DirFormat::FullMap, MAX_NODES);
     let lines = 4096u64;
     let r1 = NodeId(1);
     let r2 = NodeId(2);

@@ -4,7 +4,7 @@ use ccn_bus::BusConfig;
 use ccn_controller::EnginePolicy;
 use ccn_mem::CacheGeometry;
 use ccn_net::NetConfig;
-use ccn_protocol::{DirFormat, EngineKind};
+use ccn_protocol::{DirFormat, EngineKind, MAX_NODES};
 use ccn_sim::Cycle;
 
 /// Fixed latencies of the base system, in 5 ns CPU cycles (paper Table 1).
@@ -269,12 +269,11 @@ impl SystemConfig {
         if self.nodes == 0 {
             return Err(ConfigError::new("node count must be at least 1"));
         }
-        if self.nodes > self.dir_format.capacity() as usize {
+        if self.nodes > usize::from(MAX_NODES) {
             return Err(ConfigError::new(format!(
-                "{} nodes exceed the `{}` directory format's capacity of {} nodes",
+                "{} nodes exceed the `{}` directory format's capacity of {MAX_NODES} nodes",
                 self.nodes,
                 self.dir_format.label(),
-                self.dir_format.capacity()
             )));
         }
         if self.procs_per_node == 0 || self.procs_per_node > 64 {

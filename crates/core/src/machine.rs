@@ -11,7 +11,7 @@ use ccn_mem::{
 };
 use ccn_net::Network;
 use ccn_obs::flight::{Category, FlightEvent, FlightRecorder};
-use ccn_protocol::directory::{DirRequestKind, DirState, SharerBitmap, SharerSet};
+use ccn_protocol::directory::{DirFormat, DirRequestKind, DirState, SharerBitmap};
 use ccn_protocol::handlers::{Fanout, HandlerSpec, Step};
 use ccn_protocol::{HandlerKind, Msg, MsgClass};
 use ccn_sim::{Component, ComponentStats, Cycle, EventQueue, FxHashMap};
@@ -1485,9 +1485,10 @@ impl Machine {
         memory.sort_unstable();
         let mut directory: Vec<(u64, u16, DirSnap)> = Vec::with_capacity(64);
         for (n, node) in self.nodes.iter().enumerate() {
+            let format = node.mem.dir.format();
             for (line, state, busy) in node.mem.dir.iter_states() {
                 if state != DirState::Uncached || busy {
-                    directory.push((line.0, n as u16, DirSnap::new(state, busy)));
+                    directory.push((line.0, n as u16, DirSnap::new(state, busy, format)));
                 }
             }
         }
@@ -1516,43 +1517,34 @@ pub struct DirSnap {
     /// 0 = Uncached, 1 = Shared bitmap, 2 = Dirty, 3 = Shared pointers
     /// (the directory tag order, extended).
     tag: u8,
-    /// Pointer-set length (tag 3 only).
-    len: u8,
-    /// Pointer-set overflow flag (tag 3 only).
+    /// The broadcast bit of an overflowed pointer record (tag 3 only).
     overflow: bool,
     /// Whether a transaction was outstanding at snapshot time.
     busy: bool,
-    /// Sharer presence words (Shared bitmap), the owner id in word 0
-    /// (Dirty), or one pointer per word (Shared pointers).
+    /// Sharer presence words (Shared, whose tag 3 lists the set bits as
+    /// pointers), or the owner id in word 0 (Dirty).
     payload: [u64; 16],
 }
 
 impl DirSnap {
-    fn new(state: DirState, busy: bool) -> DirSnap {
+    /// Snapshots one entry of a home running `format`: a limited-pointer
+    /// home's records render as pointer lists, every other as bitmaps.
+    fn new(state: DirState, busy: bool, format: DirFormat) -> DirSnap {
         let mut snap = DirSnap {
             tag: 0,
-            len: 0,
             overflow: false,
             busy,
             payload: [0; 16],
         };
         match state {
             DirState::Uncached => {}
-            DirState::Shared(SharerSet::Map(bm)) => {
-                snap.tag = 1;
-                snap.payload = bm.words();
-            }
-            DirState::Shared(SharerSet::Ptrs {
-                ptrs,
-                len,
-                overflow,
-            }) => {
-                snap.tag = 3;
-                snap.len = len;
-                snap.overflow = overflow;
-                for (w, p) in snap.payload.iter_mut().zip(ptrs) {
-                    *w = u64::from(p.0);
-                }
+            DirState::Shared(set) => {
+                snap.tag = match format {
+                    DirFormat::Limited { .. } => 3,
+                    _ => 1,
+                };
+                snap.overflow = set.overflowed();
+                snap.payload = set.bits().words();
             }
             DirState::Dirty(owner) => {
                 snap.tag = 2;
@@ -1591,11 +1583,12 @@ impl DirSnap {
             }
             3 => {
                 write!(f, "Shared(Ptrs{{ovf={} [", u8::from(self.overflow))?;
-                for (i, p) in self.payload[..usize::from(self.len)].iter().enumerate() {
+                let ptrs = SharerBitmap::from_words(self.payload);
+                for (i, p) in ptrs.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{p}")?;
+                    write!(f, "{}", p.0)?;
                 }
                 write!(f, "]}})")?;
             }

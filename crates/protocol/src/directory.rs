@@ -208,7 +208,7 @@ impl Entry {
 /// assert!(matches!(outcome, DirOutcome::Act(DirAction::Supply { exclusive: false, .. })));
 /// assert_eq!(
 ///     dir.state_of(line),
-///     DirState::Shared(SharerSet::Map(SharerBitmap::just(NodeId(1))))
+///     DirState::Shared(DirFormat::FullMap.just(NodeId(1), 2, NodeId(0)))
 /// );
 /// ```
 #[derive(Debug, Clone)]
@@ -238,18 +238,12 @@ pub struct Directory {
 impl Directory {
     /// Creates a full-map directory for home node `home`.
     pub fn new(home: NodeId) -> Self {
-        Self::with_capacity(home, 0)
-    }
-
-    /// Creates a full-map directory pre-sized for about `lines` tracked
-    /// lines, so the steady-state working set never pays a rehash.
-    pub fn with_capacity(home: NodeId, lines: usize) -> Self {
-        Self::with_format(home, lines, DirFormat::FullMap, SharerBitmap::CAPACITY)
+        Self::with_format(home, 0, DirFormat::FullMap, SharerBitmap::CAPACITY)
     }
 
     /// Creates a directory with an explicit sharer-representation format
     /// on a `nodes`-node machine, pre-sized for about `lines` tracked
-    /// lines.
+    /// lines so the steady-state working set never pays a rehash.
     pub fn with_format(home: NodeId, lines: usize, format: DirFormat, nodes: u16) -> Self {
         let slots = match format {
             DirFormat::Sparse { slots } => vec![None; slots as usize],
@@ -789,15 +783,20 @@ impl Directory {
     /// identical, regardless of the order operations created their entries:
     /// lines are emitted in address order, and entries indistinguishable
     /// from an untouched line (Uncached, idle, nothing buffered) are
-    /// elided. Statistics counters are excluded. This is the hashing
-    /// primitive the `ccn-verify` model checker uses to deduplicate
-    /// explored states, so the encoding of a given state must never depend
-    /// on insertion history. Every state a ≤128-node full-map machine can
-    /// produce keeps its historical encoding byte-for-byte; only the new
-    /// wide-map, pointer, and recall states use the new tags.
+    /// elided. Statistics counters are excluded. This is the key the
+    /// `ccn-verify` model checker deduplicates explored states by, so the
+    /// encoding of a given state must never depend on insertion history.
+    /// It lives in memory only and is never persisted.
     pub fn encode_canonical(&self, out: &mut Vec<u8>) {
         fn push_node(out: &mut Vec<u8>, n: NodeId) {
             out.extend_from_slice(&n.0.to_le_bytes());
+        }
+        /// A node set as its size, then its members in ascending order.
+        fn push_members(out: &mut Vec<u8>, set: SharerBitmap) {
+            out.extend_from_slice(&(set.count() as u16).to_le_bytes());
+            for n in set.iter() {
+                push_node(out, n);
+            }
         }
         fn push_req(out: &mut Vec<u8>, r: &DirRequest) {
             out.push(match r.kind {
@@ -825,38 +824,10 @@ impl Directory {
             out.extend_from_slice(&line.0.to_le_bytes());
             match e.state {
                 DirState::Uncached => out.push(0),
-                DirState::Shared(SharerSet::Map(bm)) => {
-                    let words = bm.words();
-                    if words[2..].iter().all(|w| *w == 0) {
-                        if words[1] == 0 {
-                            // The historical single-word form: encodings
-                            // produced before the bitmap grew past two
-                            // words stay byte-identical.
-                            out.push(1);
-                            out.extend_from_slice(&words[0].to_le_bytes());
-                        } else {
-                            out.push(3);
-                            out.extend_from_slice(&words[0].to_le_bytes());
-                            out.extend_from_slice(&words[1].to_le_bytes());
-                        }
-                    } else {
-                        out.push(4);
-                        for w in words {
-                            out.extend_from_slice(&w.to_le_bytes());
-                        }
-                    }
-                }
-                DirState::Shared(SharerSet::Ptrs {
-                    ptrs,
-                    len,
-                    overflow,
-                }) => {
-                    out.push(5);
-                    out.push(len);
-                    out.push(overflow as u8);
-                    for p in &ptrs[..usize::from(len)] {
-                        push_node(out, *p);
-                    }
+                DirState::Shared(set) => {
+                    out.push(1);
+                    out.push(u8::from(set.overflowed()));
+                    push_members(out, set.bits());
                 }
                 DirState::Dirty(owner) => {
                     out.push(2);
@@ -919,8 +890,7 @@ impl Directory {
         }
         // Sparse directories: slot occupancy and not-yet-dispatched recalls
         // decide future evict-invalidates, so they are behaviorally
-        // significant and join the encoding. Dense formats have no slots
-        // and keep their historical encoding byte-for-byte.
+        // significant and join the encoding. Dense formats have no slots.
         if !self.slots.is_empty() {
             out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
             for slot in &self.slots {
@@ -935,9 +905,7 @@ impl Directory {
             out.extend_from_slice(&(self.recalls.len() as u32).to_le_bytes());
             for rc in &self.recalls {
                 out.extend_from_slice(&rc.line.0.to_le_bytes());
-                for w in rc.targets.words() {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
+                push_members(out, rc.targets);
             }
         }
     }
@@ -974,11 +942,11 @@ mod tests {
 
     /// A full-map Shared state over exactly `members`.
     fn shared(members: &[NodeId]) -> DirState {
-        let mut bm = SharerBitmap::EMPTY;
+        let mut set = SharerSet::default();
         for m in members {
-            bm.insert(*m);
+            DirFormat::FullMap.note_sharer(&mut set, *m, SharerBitmap::CAPACITY, HOME);
         }
-        DirState::Shared(SharerSet::Map(bm))
+        DirState::Shared(set)
     }
 
     #[test]
@@ -1291,7 +1259,7 @@ mod tests {
         d.request(LINE, read(R3)); // third sharer: pointer overflow
         assert!(matches!(
             d.state_of(LINE),
-            DirState::Shared(SharerSet::Ptrs { overflow: true, .. })
+            DirState::Shared(set) if set.overflowed()
         ));
         // A write now invalidates every node except home and requester —
         // including nodes that never held the line (useless
@@ -1403,46 +1371,62 @@ mod tests {
     // ---- canonical encoding -------------------------------------------
 
     #[test]
-    fn canonical_encoding_keeps_the_single_word_shared_form() {
-        // Sharer sets confined to the first presence word — every state a
-        // ≤64-node machine can produce — must keep the historical 1-tag,
-        // 8-byte encoding so committed digests never move.
-        let mut d = Directory::new(HOME);
-        d.request(LINE, read(R1));
-        d.request(LINE, read(R3));
-        let mut enc = Vec::new();
-        d.encode_canonical(&mut enc);
-        // home (2) + count (4) + line (8), then the state arm.
-        assert_eq!(enc[14], 1, "single-word Shared must keep tag 1");
-        let bits = u64::from_le_bytes(enc[15..23].try_into().unwrap());
-        assert_eq!(bits, (1 << R1.0) | (1 << R3.0));
-        // A sharer past node 63 needs the two-word form, distinct from
-        // every single-word encoding.
-        let mut wide = Directory::new(HOME);
-        wide.request(LINE, read(NodeId(64)));
-        let mut wenc = Vec::new();
-        wide.encode_canonical(&mut wenc);
-        assert_eq!(wenc[14], 3, "two-word Shared uses its own tag");
-        assert_eq!(wenc.len(), enc.len() + 8);
-        // And a sharer past node 127 takes the full-width form.
-        let mut wider = Directory::new(HOME);
-        wider.request(LINE, read(NodeId(128)));
-        let mut wwenc = Vec::new();
-        wider.encode_canonical(&mut wwenc);
-        assert_eq!(wwenc[14], 4, "wide Shared uses the full-width tag");
+    fn canonical_encoding_separates_distinct_entry_states() {
+        // The model checker merges states whose encodings are equal, so
+        // every distinct entry state must encode differently: sharer sets
+        // on either side of each word boundary, an overflowed pointer
+        // record, owners, every busy kind, and buffered requests.
+        fn dir(format: DirFormat, reqs: &[DirRequest]) -> Directory {
+            let mut d = Directory::with_format(HOME, 0, format, SharerBitmap::CAPACITY);
+            for r in reqs {
+                d.request(LINE, *r);
+            }
+            d
+        }
+        let full = DirFormat::FullMap;
+        let limited = DirFormat::Limited { ptrs: 2 };
+        let (n63, n64, n1023) = (NodeId(63), NodeId(64), NodeId(1023));
+        let states = [
+            ("uncached", dir(full, &[])),
+            ("shared {1}", dir(full, &[read(R1)])),
+            ("shared {3}", dir(full, &[read(R3)])),
+            ("shared {1,3}", dir(full, &[read(R1), read(R3)])),
+            ("shared {63}", dir(full, &[read(n63)])),
+            ("shared {64}", dir(full, &[read(n64)])),
+            ("shared {63,64}", dir(full, &[read(n63), read(n64)])),
+            ("shared {1023}", dir(full, &[read(n1023)])),
+            ("overflowed", dir(limited, &[read(R1), read(R2), read(R3)])),
+            ("dirty 1", dir(full, &[readx(R1)])),
+            ("dirty 2", dir(full, &[readx(R2)])),
+            ("acks pending", dir(full, &[read(R1), readx(R2)])),
+            ("home acks pending", dir(full, &[read(R1), readx(HOME)])),
+            ("buffered", dir(full, &[read(R1), readx(R2), read(R3)])),
+            ("owner transfer", dir(full, &[readx(R1), read(R2)])),
+            ("writeback wait", dir(full, &[readx(R1), read(R1)])),
+        ];
+        let encodings: Vec<(&str, Vec<u8>)> = states
+            .iter()
+            .map(|(name, d)| {
+                let mut enc = Vec::new();
+                d.encode_canonical(&mut enc);
+                (*name, enc)
+            })
+            .collect();
+        for (i, (a, enc_a)) in encodings.iter().enumerate() {
+            for (b, enc_b) in &encodings[i + 1..] {
+                assert_ne!(enc_a, enc_b, "{a} and {b} encode alike");
+            }
+        }
     }
 
     #[test]
     fn canonical_encoding_covers_pointer_and_recall_states() {
+        // Pointer records do not remember insertion order.
         let mut d = Directory::with_format(HOME, 0, DirFormat::Limited { ptrs: 2 }, 8);
         d.request(LINE, read(R2));
         d.request(LINE, read(R1));
         let mut enc = Vec::new();
         d.encode_canonical(&mut enc);
-        assert_eq!(enc[14], 5, "pointer sets use their own tag");
-        assert_eq!(enc[15], 2, "two pointers recorded");
-        assert_eq!(enc[16], 0, "no overflow");
-        // Pointers are kept sorted: insertion order cannot leak.
         let mut rev = Directory::with_format(HOME, 0, DirFormat::Limited { ptrs: 2 }, 8);
         rev.request(LINE, read(R1));
         rev.request(LINE, read(R2));

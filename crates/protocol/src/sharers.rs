@@ -4,7 +4,8 @@
 //! directories at small node counts; reproducing the RCCPI story at 256+
 //! nodes requires the classic scaled directory formats. This module holds
 //! the seam: [`SharerBitmap`] (the raw presence-bit vector), [`SharerSet`]
-//! (what a directory entry actually stores per line), and [`DirFormat`]
+//! (what a directory entry stores per line: one capped bitmap plus a
+//! broadcast bit, whatever the format), and [`DirFormat`]
 //! (the per-run policy that decides how sharers are recorded, how an
 //! invalidation target set is derived from the record, and how much
 //! directory memory the modeled hardware spends per line).
@@ -15,8 +16,9 @@
 //! * **coarse:K** — one presence bit per K-node region; a write
 //!   invalidates every node of every recorded region (over-invalidation),
 //!   cutting directory memory by K×.
-//! * **limited:I** — `Dir_i_B`: `I` exact node pointers plus a broadcast
-//!   bit; on pointer overflow a write invalidates *all* nodes.
+//! * **limited:I** — `Dir_i_B`: `I` exact node pointers (a bitmap that
+//!   holds at most `I` members) plus a broadcast bit; on pointer overflow
+//!   a write invalidates *all* nodes.
 //! * **sparse:S** — exact full-map entries, but only `S` stable entries
 //!   per home node; claiming an occupied slot recalls (invalidates) the
 //!   victim line everywhere, the way a directory cache with
@@ -38,6 +40,12 @@ pub const MAX_NODES: u16 = (SHARER_WORDS * 64) as u16;
 
 /// Maximum exact pointers a limited-pointer (`Dir_i_B`) entry can hold.
 pub const MAX_PTRS: u8 = 8;
+
+/// Maximum stable entries per home of a sparse directory: the lines the
+/// L2s of Figure 10's 8-processor node can hold (8 × 1 MiB / 128 B). A
+/// sparse home allocates its slot table up front, so the bound keeps a
+/// mistyped parameter from reserving gigabytes.
+pub const MAX_SPARSE_SLOTS: u32 = 65_536;
 
 /// A set of sharer nodes, stored as a fixed array of 64-bit presence
 /// words (capacity 1024 nodes; paper systems use 8–64). The set is `Copy`
@@ -109,13 +117,6 @@ impl SharerBitmap {
             words: self.0,
             word: 0,
         }
-    }
-
-    /// Removes and returns the members in ascending order, leaving the
-    /// set empty.
-    #[inline]
-    pub fn drain(&mut self) -> SharerIter {
-        std::mem::take(self).iter()
     }
 
     /// Returns this set with `node` removed.
@@ -200,123 +201,79 @@ impl Iterator for SharerIter {
 
 impl ExactSizeIterator for SharerIter {}
 
-/// What a directory entry stores for a line with read-only copies — the
-/// per-line representation a [`DirFormat`] maintains.
+/// What a directory entry stores for a line with read-only copies: one
+/// capped bitmap for every [`DirFormat`].
 ///
 /// The stored set is always a *superset* of the true remote sharers:
-/// full-map and sparse entries are exact, coarse entries round every
-/// sharer up to its region, and an overflowed limited-pointer entry
-/// stands for "everyone". [`expand`](Self::expand) turns the record back
-/// into a concrete invalidation target list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SharerSet {
-    /// Presence bits (exact for full-map/sparse, region-rounded for
-    /// coarse vectors).
-    Map(SharerBitmap),
-    /// Limited pointers (`Dir_i_B`): up to [`MAX_PTRS`] exact node ids,
-    /// kept sorted so equal sets compare and encode identically. On
-    /// overflow the pointers are dropped and the broadcast bit is set.
-    Ptrs {
-        /// Sorted node pointers; slots at `len` and beyond are zero.
-        ptrs: [NodeId; MAX_PTRS as usize],
-        /// Number of valid pointers.
-        len: u8,
-        /// Broadcast bit: the pointer array overflowed and the set now
-        /// stands for every node in the machine.
-        overflow: bool,
-    },
+/// full-map and sparse records are exact, coarse records round every
+/// sharer up to its region, a limited-pointer record holds at most its
+/// pointer count of exact members, and an overflowed one stands for
+/// "everyone". [`expand`](Self::expand) turns the record back into a
+/// concrete invalidation target list. Records are written only through
+/// [`DirFormat::note_sharer`], so equal member sets are equal records
+/// whatever order the sharers arrived in. The default is the empty
+/// record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SharerSet {
+    /// Recorded members: exact nodes, or every node of each recorded
+    /// coarse region. Empty while `overflow` is set.
+    bits: SharerBitmap,
+    /// Broadcast bit of a limited-pointer record: its pointers overflowed
+    /// and the set now stands for every node in the machine.
+    overflow: bool,
 }
 
 impl SharerSet {
-    /// An empty limited-pointer set.
-    pub const NO_PTRS: SharerSet = SharerSet::Ptrs {
-        ptrs: [NodeId(0); MAX_PTRS as usize],
-        len: 0,
-        overflow: false,
-    };
-
-    /// Whether `node` may hold a copy. Over-approximate: an overflowed
-    /// pointer set contains everyone, a coarse map contains the whole
-    /// region.
+    /// The recorded members, in ascending order when iterated (a pointer
+    /// record's sorted pointers). Empty once a pointer record overflowed.
     #[inline]
-    pub fn contains(&self, node: NodeId) -> bool {
-        match self {
-            SharerSet::Map(bm) => bm.contains(node),
-            SharerSet::Ptrs {
-                ptrs,
-                len,
-                overflow,
-            } => *overflow || ptrs[..usize::from(*len)].contains(&node),
-        }
+    pub fn bits(&self) -> SharerBitmap {
+        self.bits
     }
 
-    /// Number of *recorded* members (presence bits or pointers). An
-    /// overflowed pointer set records nothing and returns 0 even though
-    /// it stands for every node — use [`expand`](Self::expand) for the
-    /// real target count.
+    /// Whether a pointer record overflowed to broadcast.
+    #[inline]
+    pub fn overflowed(&self) -> bool {
+        self.overflow
+    }
+
+    /// Whether `node` may hold a copy. Over-approximate: an overflowed
+    /// record contains everyone, a coarse record the whole region.
+    #[inline]
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.overflow || self.bits.contains(node)
+    }
+
+    /// Number of *recorded* members. An overflowed record holds none and
+    /// returns 0 even though it stands for every node — use
+    /// [`expand`](Self::expand) for the real target count.
     #[inline]
     pub fn count(&self) -> u32 {
-        match self {
-            SharerSet::Map(bm) => bm.count(),
-            SharerSet::Ptrs { len, .. } => u32::from(*len),
-        }
+        self.bits.count()
     }
 
     /// Whether the set stands for no node at all.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        match self {
-            SharerSet::Map(bm) => bm.is_empty(),
-            SharerSet::Ptrs { len, overflow, .. } => *len == 0 && !*overflow,
-        }
+        !self.overflow && self.bits.is_empty()
     }
 
     /// The concrete invalidation target list this record stands for, on
     /// a `nodes`-node machine whose home (never a directory-tracked
     /// sharer) is `home`.
     pub fn expand(&self, nodes: u16, home: NodeId) -> SharerBitmap {
-        match self {
-            SharerSet::Map(bm) => *bm,
-            SharerSet::Ptrs {
-                ptrs,
-                len,
-                overflow,
-            } => {
-                if *overflow {
-                    SharerBitmap::all_below_except(nodes, home)
-                } else {
-                    let mut bm = SharerBitmap::EMPTY;
-                    for p in &ptrs[..usize::from(*len)] {
-                        bm.insert(*p);
-                    }
-                    bm
-                }
-            }
+        if self.overflow {
+            SharerBitmap::all_below_except(nodes, home)
+        } else {
+            self.bits
         }
     }
 
-    /// Removes an exactly-recorded member (bitmap bit or pointer). A
-    /// no-op on an overflowed pointer set, which records no individual
-    /// members.
+    /// Removes a recorded member. A no-op on an overflowed record, which
+    /// records no individual members.
+    #[inline]
     pub fn remove(&mut self, node: NodeId) {
-        match self {
-            SharerSet::Map(bm) => bm.remove(node),
-            SharerSet::Ptrs {
-                ptrs,
-                len,
-                overflow,
-            } => {
-                if *overflow {
-                    return;
-                }
-                let n = usize::from(*len);
-                if let Some(i) = ptrs[..n].iter().position(|p| *p == node) {
-                    ptrs.copy_within(i + 1..n, i);
-                    ptrs[n - 1] = NodeId(0);
-                    *len -= 1;
-                }
-            }
-        }
+        self.bits.remove(node);
     }
 }
 
@@ -324,10 +281,11 @@ impl SharerSet {
 /// (`repro --dir-format`). See the module docs for the catalog.
 ///
 /// The format decides three things: how a new sharer is recorded in a
-/// [`SharerSet`] ([`note_sharer`](Self::note_sharer)), whether a recorded
-/// membership is exact enough to grant a data-less upgrade
-/// ([`is_exact`](Self::is_exact)), and how much directory memory the
-/// modeled hardware spends ([`bits_per_entry`](Self::bits_per_entry)).
+/// [`SharerSet`] ([`note_sharer`](Self::note_sharer)), whether a record
+/// proves a node's membership well enough to grant a data-less upgrade
+/// ([`proves_sharer`](Self::proves_sharer)), and how much directory
+/// memory the modeled hardware spends
+/// ([`bits_per_entry`](Self::bits_per_entry)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DirFormat {
     /// One presence bit per node; exact sharer sets.
@@ -348,7 +306,8 @@ pub enum DirFormat {
     /// Exact full-map entries, but only `slots` stable entries per home
     /// node; claiming an occupied slot recalls the victim line.
     Sparse {
-        /// Stable directory entries per home node (≥ 1).
+        /// Stable directory entries per home node
+        /// (1..=[`MAX_SPARSE_SLOTS`]).
         slots: u32,
     },
 }
@@ -429,11 +388,13 @@ impl DirFormat {
             }
             "sparse" => {
                 let slots = num("slot count", 1024)?;
-                if slots == 0 {
-                    return Err("sparse directory needs at least 1 slot".to_string());
+                if !(1..=u64::from(MAX_SPARSE_SLOTS)).contains(&slots) {
+                    return Err(format!(
+                        "sparse slot count must be in 1..={MAX_SPARSE_SLOTS}, got {slots}"
+                    ));
                 }
                 Ok(DirFormat::Sparse {
-                    slots: slots.min(u64::from(u32::MAX)) as u32,
+                    slots: slots as u32,
                 })
             }
             _ => Err(format!(
@@ -441,12 +402,6 @@ impl DirFormat {
                 format_names().join(", ")
             )),
         }
-    }
-
-    /// The largest node count this format can track. Exceeding it is a
-    /// configuration error, not a runtime panic.
-    pub fn capacity(&self) -> u16 {
-        MAX_NODES
     }
 
     /// Directory memory per *entry* in bits, on a `nodes`-node machine:
@@ -463,100 +418,56 @@ impl DirFormat {
         }
     }
 
-    /// Directory entries the format keeps per home node when the home
-    /// owns `lines` lines of memory: one per line for the dense formats,
-    /// the slot count for sparse.
-    pub fn entries_for(&self, lines: u64) -> u64 {
-        match self {
-            DirFormat::Sparse { slots } => lines.min(u64::from(*slots)),
-            _ => lines,
-        }
-    }
-
-    /// Whether every record this format produces is exact: membership
-    /// tests answer for individual nodes and invalidation fan-outs hit
-    /// only true sharers. Coarse records round to regions; limited
-    /// pointers stop being exact once they overflow to broadcast.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, DirFormat::FullMap | DirFormat::Sparse { .. })
-    }
-
     /// Whether the record *proves* `node` currently holds a Shared copy —
-    /// the grounds for granting a data-less upgrade. Exact formats prove
-    /// it by membership; limited pointers prove it until they overflow; a
-    /// coarse region bit never says anything about an individual node,
-    /// so the upgrade must be demoted to an exclusive supply with data
-    /// (handing exclusive permission to a node with no copy would be
-    /// unsound).
+    /// the grounds for granting a data-less upgrade. Exact records prove
+    /// it by membership, and an overflowed pointer record has no members
+    /// left to prove it with; a coarse region bit never says anything
+    /// about an individual node, so the upgrade must be demoted to an
+    /// exclusive supply with data (handing exclusive permission to a node
+    /// with no copy would be unsound).
     pub fn proves_sharer(&self, set: &SharerSet, node: NodeId) -> bool {
-        match self {
-            DirFormat::Coarse { .. } => false,
-            _ => match set {
-                SharerSet::Ptrs { overflow: true, .. } => false,
-                s => s.contains(node),
-            },
-        }
-    }
-
-    /// An empty sharer record in this format's representation.
-    pub fn empty_set(&self) -> SharerSet {
-        match self {
-            DirFormat::Limited { .. } => SharerSet::NO_PTRS,
-            _ => SharerSet::Map(SharerBitmap::EMPTY),
-        }
+        !matches!(self, DirFormat::Coarse { .. }) && set.bits.contains(node)
     }
 
     /// Records `node` as a sharer in `set`, on a `nodes`-node machine
     /// with home node `home` (the home's copies are bus-visible and
     /// never recorded).
     pub fn note_sharer(&self, set: &mut SharerSet, node: NodeId, nodes: u16, home: NodeId) {
-        match (self, set) {
-            (DirFormat::Coarse { region }, SharerSet::Map(bm)) => {
+        match *self {
+            DirFormat::Coarse { region } => {
                 let start = node.0 - node.0 % region;
                 let end = (start + region).min(nodes);
                 for n in start..end {
                     if NodeId(n) != home {
-                        bm.insert(NodeId(n));
+                        set.bits.insert(NodeId(n));
                     }
                 }
             }
-            (
-                DirFormat::Limited { ptrs: cap },
-                SharerSet::Ptrs {
-                    ptrs,
-                    len,
-                    overflow,
-                },
-            ) => {
-                if *overflow {
-                    return;
+            // A pointer record is a bitmap of at most `ptrs` members;
+            // ascending iteration is the sorted pointer order.
+            DirFormat::Limited { ptrs } => {
+                if set.contains(node) {
+                    return; // already a pointer, or already broadcast
                 }
-                let n = usize::from(*len);
-                let pos = ptrs[..n].partition_point(|p| p.0 < node.0);
-                if pos < n && ptrs[pos] == node {
-                    return;
-                }
-                if n < usize::from(*cap) {
-                    ptrs.copy_within(pos..n, pos + 1);
-                    ptrs[pos] = node;
-                    *len += 1;
+                if set.count() < u32::from(ptrs) {
+                    set.bits.insert(node);
                 } else {
                     // Pointer overflow: drop the pointers and raise the
                     // broadcast bit — the canonical Dir_i_B response.
-                    *ptrs = [NodeId(0); MAX_PTRS as usize];
-                    *len = 0;
-                    *overflow = true;
+                    *set = SharerSet {
+                        bits: SharerBitmap::EMPTY,
+                        overflow: true,
+                    };
                 }
             }
-            (_, SharerSet::Map(bm)) => bm.insert(node),
-            (f, s) => unreachable!("sharer set {s:?} does not match format {f:?}"),
+            DirFormat::FullMap | DirFormat::Sparse { .. } => set.bits.insert(node),
         }
     }
 
     /// A set containing exactly the record of `node` (the first-sharer
     /// transition).
     pub fn just(&self, node: NodeId, nodes: u16, home: NodeId) -> SharerSet {
-        let mut set = self.empty_set();
+        let mut set = SharerSet::default();
         self.note_sharer(&mut set, node, nodes, home);
         set
     }
@@ -732,19 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_yields_members_in_order_and_empties_the_set() {
-        let mut bm = SharerBitmap::EMPTY;
-        for n in [64, 2, 1023, 63, 0] {
-            bm.insert(NodeId(n));
-        }
-        let drained: Vec<u16> = bm.drain().map(|n| n.0).collect();
-        assert_eq!(drained, vec![0, 2, 63, 64, 1023]);
-        assert!(bm.is_empty());
-        assert_eq!(bm.iter().count(), 0);
-        assert_eq!(bm.drain().count(), 0);
-    }
-
-    #[test]
     fn all_below_except_builds_broadcast_targets() {
         let bm = SharerBitmap::all_below_except(6, NodeId(2));
         assert_eq!(
@@ -763,7 +661,7 @@ mod tests {
     fn coarse_note_sharer_rounds_up_to_the_region() {
         let f = DirFormat::Coarse { region: 4 };
         let home = NodeId(0);
-        let mut set = f.empty_set();
+        let mut set = SharerSet::default();
         f.note_sharer(&mut set, NodeId(5), 16, home);
         // Region {4,5,6,7} is recorded, nothing else.
         for n in 0..16 {
@@ -771,12 +669,12 @@ mod tests {
         }
         // The home's region never records the home itself, and regions
         // clamp at the machine size.
-        let mut set = f.empty_set();
+        let mut set = SharerSet::default();
         f.note_sharer(&mut set, NodeId(1), 6, home);
         assert!(!set.contains(NodeId(0)));
         assert!(set.contains(NodeId(1)));
         assert!(set.contains(NodeId(3)));
-        let mut set = f.empty_set();
+        let mut set = SharerSet::default();
         f.note_sharer(&mut set, NodeId(5), 6, home);
         assert!(set.contains(NodeId(4)));
         assert!(set.contains(NodeId(5)));
@@ -802,16 +700,16 @@ mod tests {
         let mut other = f.just(NodeId(3), 16, home);
         f.note_sharer(&mut other, NodeId(9), 16, home);
         assert_eq!(set, other);
-        // Third sharer overflows to broadcast.
+        // Third sharer overflows to broadcast and drops the pointers.
         f.note_sharer(&mut set, NodeId(12), 16, home);
-        assert!(matches!(
+        assert_eq!(
             set,
-            SharerSet::Ptrs {
-                len: 0,
-                overflow: true,
-                ..
+            SharerSet {
+                bits: SharerBitmap::EMPTY,
+                overflow: true
             }
-        ));
+        );
+        assert_eq!(set.count(), 0);
         assert!(set.contains(NodeId(7)), "broadcast contains everyone");
         assert!(!set.is_empty());
         let targets = set.expand(16, home);
@@ -823,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn pointer_removal_shifts_and_rezeroes() {
+    fn pointer_removal_returns_to_the_empty_record() {
         let f = DirFormat::Limited { ptrs: 4 };
         let home = NodeId(0);
         let mut set = f.just(NodeId(2), 16, home);
@@ -836,9 +734,9 @@ mod tests {
         set.remove(NodeId(2));
         set.remove(NodeId(7));
         assert!(set.is_empty());
-        assert_eq!(set, SharerSet::NO_PTRS);
+        assert_eq!(set, SharerSet::default());
         set.remove(NodeId(9)); // absent: no-op
-        assert_eq!(set, SharerSet::NO_PTRS);
+        assert_eq!(set, SharerSet::default());
     }
 
     #[test]
@@ -868,9 +766,18 @@ mod tests {
             "limited:0",
             "limited:99",
             "sparse:0",
+            "sparse:65537",
+            "sparse:4294967296",
         ] {
             assert!(DirFormat::parse(bad).is_err(), "{bad} should not parse");
         }
+        // The sparse bound is Figure 10's 8-processor L2 capacity.
+        assert_eq!(
+            DirFormat::parse("sparse:65536"),
+            Ok(DirFormat::Sparse {
+                slots: MAX_SPARSE_SLOTS
+            })
+        );
     }
 
     #[test]
@@ -891,18 +798,10 @@ mod tests {
             DirFormat::Sparse { slots: 64 }.bits_per_entry(1024),
             common + 1024
         );
-        // Sparse bounds entries; dense formats track every line.
-        assert_eq!(DirFormat::Sparse { slots: 64 }.entries_for(5000), 64);
-        assert_eq!(DirFormat::Sparse { slots: 64 }.entries_for(10), 10);
-        assert_eq!(DirFormat::FullMap.entries_for(5000), 5000);
     }
 
     #[test]
     fn exactness_gates_upgrade_grants() {
-        assert!(DirFormat::FullMap.is_exact());
-        assert!(DirFormat::Sparse { slots: 8 }.is_exact());
-        assert!(!DirFormat::Coarse { region: 4 }.is_exact());
-        assert!(!DirFormat::Limited { ptrs: 4 }.is_exact());
         // A coarse record never proves an individual node's membership,
         // even when the bit covering it is set.
         let coarse = DirFormat::Coarse { region: 4 };
@@ -918,10 +817,140 @@ mod tests {
         limited.note_sharer(&mut set, NodeId(3), 8, NodeId(0));
         assert!(set.contains(NodeId(1)), "overflow still covers everyone");
         assert!(!limited.proves_sharer(&set, NodeId(1)));
-        // Full-map membership is always proof.
-        let full = DirFormat::FullMap;
-        let set = full.just(NodeId(1), 8, NodeId(0));
-        assert!(full.proves_sharer(&set, NodeId(1)));
-        assert!(!full.proves_sharer(&set, NodeId(2)));
+        // Full-map and sparse membership is always proof.
+        for exact in [DirFormat::FullMap, DirFormat::Sparse { slots: 8 }] {
+            let set = exact.just(NodeId(1), 8, NodeId(0));
+            assert!(exact.proves_sharer(&set, NodeId(1)));
+            assert!(!exact.proves_sharer(&set, NodeId(2)));
+        }
+    }
+
+    /// The `Dir_i_B` record as a sorted array of up to [`MAX_PTRS`]
+    /// pointers plus a broadcast bit: the representation the capped
+    /// bitmap replaced, kept as its reference.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct SortedPtrs {
+        ptrs: [NodeId; MAX_PTRS as usize],
+        len: u8,
+        overflow: bool,
+    }
+
+    impl SortedPtrs {
+        fn members(&self) -> &[NodeId] {
+            &self.ptrs[..usize::from(self.len)]
+        }
+
+        fn note(&mut self, cap: u8, node: NodeId) {
+            if self.overflow {
+                return;
+            }
+            let n = usize::from(self.len);
+            let pos = self.members().partition_point(|p| p.0 < node.0);
+            if pos < n && self.ptrs[pos] == node {
+                return;
+            }
+            if n < usize::from(cap) {
+                self.ptrs.copy_within(pos..n, pos + 1);
+                self.ptrs[pos] = node;
+                self.len += 1;
+            } else {
+                *self = SortedPtrs {
+                    overflow: true,
+                    ..SortedPtrs::default()
+                };
+            }
+        }
+
+        fn remove(&mut self, node: NodeId) {
+            if self.overflow {
+                return;
+            }
+            let n = usize::from(self.len);
+            if let Some(i) = self.members().iter().position(|p| *p == node) {
+                self.ptrs.copy_within(i + 1..n, i);
+                self.ptrs[n - 1] = NodeId(0);
+                self.len -= 1;
+            }
+        }
+
+        fn contains(&self, node: NodeId) -> bool {
+            self.overflow || self.members().contains(&node)
+        }
+
+        fn proves(&self, node: NodeId) -> bool {
+            !self.overflow && self.members().contains(&node)
+        }
+
+        fn expand(&self, nodes: u16, home: NodeId) -> Vec<NodeId> {
+            if self.overflow {
+                (0..nodes).map(NodeId).filter(|n| *n != home).collect()
+            } else {
+                self.members().to_vec()
+            }
+        }
+    }
+
+    #[test]
+    fn capped_bitmap_matches_the_sorted_pointer_reference() {
+        use ccn_sim::SplitMix64;
+        for nodes in [16u16, 1024] {
+            for cap in 1..=MAX_PTRS {
+                let f = DirFormat::Limited { ptrs: cap };
+                let mut rng = SplitMix64::new(u64::from(nodes) << 8 | u64::from(cap));
+                let node_below =
+                    |rng: &mut SplitMix64| NodeId(rng.next_below(u64::from(nodes)) as u16);
+                let home = node_below(&mut rng);
+                let mut set = SharerSet::default();
+                let mut reference = SortedPtrs::default();
+                let (mut overflows, mut removes_after_overflow) = (0, 0);
+                for step in 0..3000 {
+                    // Half the operands are recorded pointers, so removals
+                    // and repeated notes hit members on the wide machine.
+                    let node = match reference.members() {
+                        m if !m.is_empty() && rng.next_below(2) == 0 => {
+                            m[rng.next_below(m.len() as u64) as usize]
+                        }
+                        _ => node_below(&mut rng),
+                    };
+                    match rng.next_below(32) {
+                        // The line's record starts over (it went Uncached).
+                        0 => (set, reference) = (SharerSet::default(), SortedPtrs::default()),
+                        1..=8 => {
+                            removes_after_overflow += u32::from(reference.overflow);
+                            set.remove(node);
+                            reference.remove(node);
+                        }
+                        _ => {
+                            let was = reference.overflow;
+                            f.note_sharer(&mut set, node, nodes, home);
+                            reference.note(cap, node);
+                            overflows += u32::from(!was && reference.overflow);
+                        }
+                    }
+                    let probe = node_below(&mut rng);
+                    let at = format!("{nodes} nodes, limited:{cap}, step {step}: {reference:?}");
+                    for n in [node, probe] {
+                        assert_eq!(set.contains(n), reference.contains(n), "{at}");
+                        assert_eq!(f.proves_sharer(&set, n), reference.proves(n), "{at}");
+                    }
+                    assert_eq!(set.count(), u32::from(reference.len), "{at}");
+                    assert_eq!(
+                        set.is_empty(),
+                        reference.len == 0 && !reference.overflow,
+                        "{at}"
+                    );
+                    let targets: Vec<NodeId> = set.expand(nodes, home).iter().collect();
+                    assert_eq!(targets, reference.expand(nodes, home), "{at}");
+                }
+                assert!(
+                    overflows > 0,
+                    "{nodes} nodes, limited:{cap}: never overflowed"
+                );
+                assert!(
+                    removes_after_overflow > 0,
+                    "{nodes} nodes, limited:{cap}: no removal after overflow"
+                );
+            }
+        }
     }
 }

@@ -1566,7 +1566,7 @@ mod tests {
         assert_eq!(st.copy(1, 0), CopyState::Shared(0));
         assert_eq!(
             st.dirs[0].state_of(LineAddr(0)),
-            DirState::Shared(ccn_protocol::SharerSet::Map(SharerBitmap::just(NodeId(1))))
+            DirState::Shared(DirFormat::FullMap.just(NodeId(1), 2, NodeId(0)))
         );
         assert!(st.is_quiescent(&cfg));
         assert!(st.check(&cfg).is_none());

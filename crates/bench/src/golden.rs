@@ -18,7 +18,11 @@
 //!   host-time benchmark's slow-network and key-value machines, the
 //!   1024-node machine of the scaling study, a 128-node key-value
 //!   run whose handlers fan out past 64 nodes, and quick Ocean under a
-//!   limited-pointer and a coarse-region directory.
+//!   limited-pointer and a coarse-region directory;
+//! * the statistics tree `Machine::component_stats()` renders after quick
+//!   Ocean on the two-engine PPC machine: every counter and gauge that
+//!   `repro stats`, the sampler's timelines and the Chrome trace's counter
+//!   tracks read.
 //!
 //! Any simulator change that moves one of these shows up as a diff with
 //! the offending line. When the change is intentional, regenerate the
@@ -53,6 +57,7 @@ pub fn anchors() -> Vec<(&'static str, String)> {
         ("model_space", model_space()),
         ("conformance_digests", conformance_digests()),
         ("contended_timing", contended_timing()),
+        ("component_tree", component_tree()),
     ]
 }
 
@@ -230,6 +235,17 @@ fn contended_timing() -> String {
         );
     }
     out
+}
+
+/// The rendered statistics tree after quick Ocean on 4x2 2PPC, so each
+/// node shows both protocol engines.
+fn component_tree() -> String {
+    let (app, opts) = (SuiteApp::OceanBase, Options::quick());
+    let cfg = config_for(app, Architecture::TwoPpc, opts, ConfigMods::default());
+    let mut machine =
+        Machine::new(cfg, app.instantiate(opts.scale).as_ref()).expect("golden config is valid");
+    machine.run();
+    machine.component_stats().render()
 }
 
 /// Seed 0 of the host-time benchmark's key-value mix: false sharing,

@@ -19,7 +19,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use ccn_sim::{Component, ComponentStats, Cycle, Server, CPU_CYCLES_PER_BUS_CYCLE};
+use ccn_sim::{ComponentStats, Cycle, Server, CPU_CYCLES_PER_BUS_CYCLE};
 
 /// The kind of transaction driven on a node's SMP bus.
 ///
@@ -159,35 +159,13 @@ impl SmpBus {
         self.transactions
     }
 
-    /// Address-bus utilization over `elapsed` cycles.
-    pub fn address_utilization(&self, elapsed: Cycle) -> f64 {
-        self.address.utilization(elapsed)
-    }
-
-    /// Data-bus utilization over `elapsed` cycles.
-    pub fn data_utilization(&self, elapsed: Cycle) -> f64 {
-        self.data.utilization(elapsed)
-    }
-
     /// Mean address-arbitration queueing delay in cycles.
     pub fn mean_address_delay(&self) -> f64 {
         self.address.mean_queue_delay()
     }
 
-    /// Resets statistics, keeping pending reservations.
-    pub fn reset_stats(&mut self) {
-        self.address.reset_stats();
-        self.data.reset_stats();
-        self.transactions = 0;
-    }
-}
-
-impl Component for SmpBus {
-    fn component_name(&self) -> &'static str {
-        "bus"
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
+    /// A snapshot of the bus's statistics, address and data buses nested.
+    pub fn stats_snapshot(&self) -> ComponentStats {
         ComponentStats::named("bus")
             .counter("transactions", self.transactions)
             .gauge("mean_address_delay", self.mean_address_delay())
@@ -195,8 +173,11 @@ impl Component for SmpBus {
             .child(self.data.stats_snapshot())
     }
 
-    fn reset_stats(&mut self) {
-        SmpBus::reset_stats(self);
+    /// Resets statistics, keeping pending reservations.
+    pub fn reset_stats(&mut self) {
+        self.address.reset_stats();
+        self.data.reset_stats();
+        self.transactions = 0;
     }
 }
 
@@ -257,12 +238,17 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_reset() {
+    fn busy_cycles_and_reset() {
         let mut bus = SmpBus::new(BusConfig::default());
         bus.address_phase(0);
-        assert!(bus.address_utilization(8) > 0.0);
+        let address_busy = |bus: &SmpBus| {
+            bus.stats_snapshot()
+                .find("smp address bus")
+                .and_then(|s| s.get_counter("busy_cycles"))
+        };
+        assert_eq!(address_busy(&bus), Some(4));
         bus.reset_stats();
-        assert_eq!(bus.address_utilization(8), 0.0);
+        assert_eq!(address_busy(&bus), Some(0));
         assert_eq!(bus.transactions(), 0);
     }
 }

@@ -11,7 +11,7 @@
 //! background and never cause dirty evictions; only reads allocate.
 
 use ccn_mem::LineAddr;
-use ccn_sim::{Component, ComponentStats};
+use ccn_sim::ComponentStats;
 
 /// Direct-mapped, write-through directory-entry cache (tags only).
 ///
@@ -100,27 +100,18 @@ impl DirCache {
         }
     }
 
-    /// Resets counters (contents survive — the measured phase starts warm).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-}
-
-impl Component for DirCache {
-    fn component_name(&self) -> &'static str {
-        "dircache"
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
+    /// A snapshot of the directory cache's hit and miss counts.
+    pub fn stats_snapshot(&self) -> ComponentStats {
         ComponentStats::named("dircache")
             .counter("hits", self.hits)
             .counter("misses", self.misses)
             .gauge("hit_ratio", self.hit_ratio())
     }
 
-    fn reset_stats(&mut self) {
-        DirCache::reset_stats(self);
+    /// Resets counters (contents survive — the measured phase starts warm).
+    pub fn reset_stats(&mut self) {
+        self.hits = 0;
+        self.misses = 0;
     }
 }
 

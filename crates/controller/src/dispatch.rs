@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use ccn_protocol::MsgClass;
 use ccn_sim::stats::{Accumulator, Histogram};
-use ccn_sim::Cycle;
+use ccn_sim::{ComponentStats, Cycle};
 
 use crate::EnginePolicy;
 
@@ -278,23 +278,12 @@ impl<R> CoherenceController<R> {
         self.engines[idx].queues.iter().map(VecDeque::len).sum()
     }
 
-    /// Resets statistics (not queue contents or busy state).
-    pub fn reset_stats(&mut self) {
-        for e in &mut self.engines {
-            e.stats = EngineStats::default();
-        }
-    }
-}
-
-impl<R> ccn_sim::Component for CoherenceController<R> {
-    fn component_name(&self) -> &'static str {
-        "cc"
-    }
-
-    fn stats_snapshot(&self) -> ccn_sim::ComponentStats {
+    /// A snapshot of the controller's aggregate statistics, one child per
+    /// protocol engine named `engine{idx}.{role}`.
+    pub fn stats_snapshot(&self) -> ComponentStats {
         let agg = self.stats();
         let total_depth: usize = (0..self.engines.len()).map(|i| self.queue_depth(i)).sum();
-        let mut snap = ccn_sim::ComponentStats::named("cc")
+        let mut snap = ComponentStats::named("cc")
             .counter("arrivals", agg.arrivals)
             .counter("handled", agg.handled)
             .counter("occupancy_cycles", agg.occupancy)
@@ -306,23 +295,23 @@ impl<R> ccn_sim::Component for CoherenceController<R> {
             );
         for (idx, e) in self.engines.iter().enumerate() {
             snap.children.push(
-                ccn_sim::ComponentStats::named(format!(
-                    "engine{idx}.{}",
-                    self.policy.role_label(idx)
-                ))
-                .counter("arrivals", e.stats.arrivals)
-                .counter("handled", e.stats.handled)
-                .counter("occupancy_cycles", e.stats.occupancy)
-                .counter("queue_depth", self.queue_depth(idx) as u64)
-                .gauge("mean_queue_delay", e.stats.queue_delay_hist.mean())
-                .gauge("mean_interarrival", e.stats.interarrival.mean()),
+                ComponentStats::named(format!("engine{idx}.{}", self.policy.role_label(idx)))
+                    .counter("arrivals", e.stats.arrivals)
+                    .counter("handled", e.stats.handled)
+                    .counter("occupancy_cycles", e.stats.occupancy)
+                    .counter("queue_depth", self.queue_depth(idx) as u64)
+                    .gauge("mean_queue_delay", e.stats.queue_delay_hist.mean())
+                    .gauge("mean_interarrival", e.stats.interarrival.mean()),
             );
         }
         snap
     }
 
-    fn reset_stats(&mut self) {
-        CoherenceController::reset_stats(self);
+    /// Resets statistics (not queue contents or busy state).
+    pub fn reset_stats(&mut self) {
+        for e in &mut self.engines {
+            e.stats = EngineStats::default();
+        }
     }
 }
 
@@ -451,7 +440,7 @@ mod tests {
         assert_eq!(s.queue_delay_hist.min(), Some(10));
         assert_eq!(s.queue_delay_hist.max(), Some(16));
         assert_eq!(s.queue_delay_hist.mean(), 13.0);
-        let snap = ccn_sim::Component::stats_snapshot(&c);
+        let snap = c.stats_snapshot();
         assert_eq!(snap.get_counter("queue_depth"), Some(0));
     }
 }

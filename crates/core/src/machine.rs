@@ -14,7 +14,7 @@ use ccn_obs::flight::{Category, FlightEvent, FlightRecorder};
 use ccn_protocol::directory::{DirFormat, DirRequestKind, DirState, SharerBitmap};
 use ccn_protocol::handlers::{Fanout, HandlerSpec, Step};
 use ccn_protocol::{HandlerKind, Msg, MsgClass};
-use ccn_sim::{Component, ComponentStats, Cycle, EventQueue, FxHashMap};
+use ccn_sim::{ComponentStats, Cycle, EventQueue, FxHashMap};
 use ccn_workloads::{Application, MachineShape, Op, SegmentProgram};
 
 use ccn_controller::EngineRole;
@@ -675,7 +675,7 @@ impl Machine {
             proc.l2.reset_stats();
         }
         for node in self.nodes.iter_mut() {
-            Component::reset_stats(node);
+            node.reset_stats();
         }
         self.useless_invalidations = 0;
         self.handler_counts = [0; HandlerKind::COUNT];
@@ -688,8 +688,8 @@ impl Machine {
         // the measured miss-latency histograms, so the recorder keeps
         // them too).
         self.record_flight(FlightEvent::MeasureReset);
-        Component::reset_stats(&mut self.net);
-        SyncState::reset_stats(&mut self.sync);
+        self.net.reset_stats();
+        self.sync.reset_stats();
         if let Some(sampler) = &mut self.sampler {
             sampler.arm(t);
         }
@@ -1249,12 +1249,12 @@ impl Machine {
     // Reporting and invariants
     // ---------------------------------------------------------------
 
-    /// One canonical walk over every component's statistics: the machine
-    /// at the root, one subtree per node (bus, coherence controller,
-    /// memory controller), then the network and the synchronization
-    /// runtime. This is the same spine the measured-phase reset walks and
-    /// `build_report` aggregates — a debugging/analysis view that needs no
-    /// per-counter plumbing to stay complete.
+    /// Every component's statistics as one tree: the machine at the root,
+    /// one subtree per node (bus, coherence controller, memory
+    /// controller), then the network and the synchronization runtime.
+    /// `repro stats`, the sampler's timelines and the Chrome trace's
+    /// counter tracks read it; the measured-phase reset and `build_report`
+    /// call the components directly.
     pub fn component_stats(&self) -> ComponentStats {
         let mut root = ComponentStats::named("machine");
         for (i, node) in self.nodes.iter().enumerate() {

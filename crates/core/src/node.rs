@@ -10,15 +10,16 @@
 //! reservations (handled by each component's `Server`s) or events on
 //! the machine's queue (the `Event` kinds in [`machine`](crate::machine)).
 //!
-//! Every component implements [`Component`], so one canonical walk
-//! snapshots or resets the whole node — this is the stats spine that
-//! feeds `SimReport` and keeps the measured-phase reset in one place.
+//! Each component has an inherent `stats_snapshot` and `reset_stats`;
+//! the node's own pair calls its children's, so
+//! [`Machine::component_stats`](crate::Machine::component_stats) gets one
+//! subtree per node and the measured-phase reset one call per node.
 
 use ccn_bus::SmpBus;
 use ccn_controller::{CoherenceController, DirCache};
 use ccn_mem::{LineTable, MemoryBanks, NodeId};
 use ccn_protocol::directory::Directory;
-use ccn_sim::{Component, ComponentStats, Server};
+use ccn_sim::{ComponentStats, Server};
 
 use crate::config::SystemConfig;
 use crate::machine::{Mshr, Presence};
@@ -44,11 +45,7 @@ pub(crate) struct MemCtrl {
     pub dir_dram: Server,
 }
 
-impl Component for MemCtrl {
-    fn component_name(&self) -> &'static str {
-        "mem"
-    }
-
+impl MemCtrl {
     fn stats_snapshot(&self) -> ComponentStats {
         ComponentStats::named("mem")
             .child(self.banks.stats_snapshot())
@@ -57,8 +54,8 @@ impl Component for MemCtrl {
     }
 
     fn reset_stats(&mut self) {
-        Component::reset_stats(&mut self.banks);
-        Component::reset_stats(&mut self.dircache);
+        self.banks.reset_stats();
+        self.dircache.reset_stats();
         self.dir_dram.reset_stats();
     }
 }
@@ -116,14 +113,10 @@ impl Node {
             waiter_pool: ccn_sim::pool::ListPool::with_capacity(cfg.procs_per_node),
         }
     }
-}
 
-impl Component for Node {
-    fn component_name(&self) -> &'static str {
-        "node"
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
+    /// A snapshot of the bus, the coherence controller and the memory
+    /// controller, in that order.
+    pub(crate) fn stats_snapshot(&self) -> ComponentStats {
         ComponentStats::named("node")
             .child(self.bus.stats_snapshot())
             .child(self.cc.stats_snapshot())
@@ -133,10 +126,10 @@ impl Component for Node {
     /// Resets every component's statistics for the measured phase.
     /// Simulated state — bus/bank reservations, directory contents and
     /// the directory-cache tags, queued requests, MSHRs — survives.
-    fn reset_stats(&mut self) {
-        Component::reset_stats(&mut self.bus);
-        Component::reset_stats(&mut self.cc);
-        Component::reset_stats(&mut self.mem);
+    pub(crate) fn reset_stats(&mut self) {
+        self.bus.reset_stats();
+        self.cc.reset_stats();
+        self.mem.reset_stats();
     }
 }
 
@@ -172,7 +165,7 @@ mod tests {
         let mut node = Node::new(&SystemConfig::small(), NodeId(0));
         node.mem.dircache.read(LineAddr(7));
         let busy = node.bus.address_phase(0);
-        Component::reset_stats(&mut node);
+        node.reset_stats();
         assert_eq!(node.bus.transactions(), 0);
         assert_eq!(node.mem.dircache.misses(), 0);
         // Contents and reservations survive: the next read hits, the next

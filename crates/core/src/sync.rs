@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use ccn_mem::ProcId;
-use ccn_sim::{Component, ComponentStats, Cycle, FxHashMap};
+use ccn_sim::{ComponentStats, Cycle, FxHashMap};
 
 /// Outcome of a processor arriving at a barrier.
 ///
@@ -176,6 +176,14 @@ impl SyncState {
         (self.lock_acquisitions, self.lock_contended)
     }
 
+    /// A snapshot of the barrier and lock counters.
+    pub fn stats_snapshot(&self) -> ComponentStats {
+        ComponentStats::named("sync")
+            .counter("barrier_episodes", self.barrier_episodes)
+            .counter("lock_acquisitions", self.lock_acquisitions)
+            .counter("lock_contended", self.lock_contended)
+    }
+
     /// Resets the episode/acquisition counters (measured-phase reporting);
     /// blocked-waiter state is untouched.
     pub fn reset_stats(&mut self) {
@@ -189,23 +197,6 @@ impl SyncState {
     pub fn anyone_blocked(&self) -> bool {
         self.barriers.values().any(|b| !b.waiters.is_empty())
             || self.locks.values().any(|l| !l.queue.is_empty())
-    }
-}
-
-impl Component for SyncState {
-    fn component_name(&self) -> &'static str {
-        "sync"
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
-        ComponentStats::named("sync")
-            .counter("barrier_episodes", self.barrier_episodes)
-            .counter("lock_acquisitions", self.lock_acquisitions)
-            .counter("lock_contended", self.lock_contended)
-    }
-
-    fn reset_stats(&mut self) {
-        SyncState::reset_stats(self);
     }
 }
 

@@ -226,19 +226,6 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// This cache's [`ccn_sim::ComponentStats`] snapshot under the given name
-    /// (caches are instantiated per level, so the parent names them).
-    pub fn stats_snapshot_named(&self, name: &'static str) -> ccn_sim::ComponentStats {
-        ccn_sim::ComponentStats::named(name)
-            .counter("read_hits", self.stats.read_hits)
-            .counter("read_misses", self.stats.read_misses)
-            .counter("write_hits", self.stats.write_hits)
-            .counter("write_misses", self.stats.write_misses)
-            .counter("dirty_evictions", self.stats.dirty_evictions)
-            .counter("clean_evictions", self.stats.clean_evictions)
-            .gauge("miss_ratio", self.stats.miss_ratio())
-    }
-
     fn set_of(&self, line: LineAddr) -> usize {
         (line.0 & self.set_mask) as usize
     }
@@ -438,20 +425,6 @@ impl SetAssocCache {
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
         self.resident
-    }
-}
-
-impl ccn_sim::Component for SetAssocCache {
-    fn component_name(&self) -> &'static str {
-        "cache"
-    }
-
-    fn stats_snapshot(&self) -> ccn_sim::ComponentStats {
-        self.stats_snapshot_named("cache")
-    }
-
-    fn reset_stats(&mut self) {
-        SetAssocCache::reset_stats(self);
     }
 }
 

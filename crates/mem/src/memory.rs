@@ -1,6 +1,6 @@
 //! Interleaved memory-bank timing model.
 
-use ccn_sim::{Component, ComponentStats, Cycle, Server};
+use ccn_sim::{ComponentStats, Cycle, Server};
 
 use crate::addr::LineAddr;
 
@@ -81,33 +81,8 @@ impl MemoryBanks {
         }
     }
 
-    /// Aggregate bank utilization over `elapsed` cycles (mean across banks).
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if self.banks.is_empty() {
-            return 0.0;
-        }
-        self.banks
-            .iter()
-            .map(|b| b.utilization(elapsed))
-            .sum::<f64>()
-            / self.banks.len() as f64
-    }
-
-    /// Resets statistics, keeping pending reservations.
-    pub fn reset_stats(&mut self) {
-        for b in &mut self.banks {
-            b.reset_stats();
-        }
-        self.accesses = 0;
-    }
-}
-
-impl Component for MemoryBanks {
-    fn component_name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
+    /// A snapshot of the memory's statistics, every bank nested.
+    pub fn stats_snapshot(&self) -> ComponentStats {
         let mut snap = ComponentStats::named("memory")
             .counter("accesses", self.accesses)
             .gauge("mean_queue_delay", self.mean_queue_delay());
@@ -117,8 +92,12 @@ impl Component for MemoryBanks {
         snap
     }
 
-    fn reset_stats(&mut self) {
-        MemoryBanks::reset_stats(self);
+    /// Resets statistics, keeping pending reservations.
+    pub fn reset_stats(&mut self) {
+        for b in &mut self.banks {
+            b.reset_stats();
+        }
+        self.accesses = 0;
     }
 }
 
@@ -141,14 +120,6 @@ mod tests {
         mem.access(LineAddr(0), 0);
         mem.access(LineAddr(0), 0); // waits 10
         assert!((mem.mean_queue_delay() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_mean() {
-        let mut mem = MemoryBanks::new(2, 10);
-        mem.access(LineAddr(0), 0);
-        // bank 0: 10 busy over 40 => 0.25; bank 1 idle => mean 0.125
-        assert!((mem.utilization(40) - 0.125).abs() < 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use ccn_mem::NodeId;
-use ccn_sim::{Component, ComponentStats, Cycle, Histogram, Server};
+use ccn_sim::{ComponentStats, Cycle, Histogram, Server};
 
 /// Network timing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -138,28 +138,9 @@ impl Network {
         self.bytes
     }
 
-    /// Utilization of a node's egress port over `elapsed` cycles.
-    pub fn egress_utilization(&self, node: NodeId, elapsed: Cycle) -> f64 {
-        self.egress[node.index()].utilization(elapsed)
-    }
-
-    /// Resets statistics, keeping port reservations.
-    pub fn reset_stats(&mut self) {
-        for p in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
-            p.reset_stats();
-        }
-        self.messages = 0;
-        self.bytes = 0;
-        self.transit = Histogram::new();
-    }
-}
-
-impl Component for Network {
-    fn component_name(&self) -> &'static str {
-        "net"
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
+    /// A snapshot of the network's statistics, every egress port then
+    /// every ingress port nested.
+    pub fn stats_snapshot(&self) -> ComponentStats {
         let mut snap = ComponentStats::named("net")
             .counter("messages", self.messages)
             .counter("bytes", self.bytes)
@@ -170,8 +151,14 @@ impl Component for Network {
         snap
     }
 
-    fn reset_stats(&mut self) {
-        Network::reset_stats(self);
+    /// Resets statistics, keeping port reservations.
+    pub fn reset_stats(&mut self) {
+        for p in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
+            p.reset_stats();
+        }
+        self.messages = 0;
+        self.bytes = 0;
+        self.transit = Histogram::new();
     }
 }
 
@@ -231,11 +218,14 @@ mod tests {
     fn stats_reset() {
         let mut net = n(NetConfig::default());
         net.send(0, NodeId(0), NodeId(1), 16);
-        assert!(net.egress_utilization(NodeId(0), 10) > 0.0);
+        // Node 0's egress port is the first port in the snapshot.
+        let egress0_busy =
+            |net: &Network| net.stats_snapshot().children[0].get_counter("busy_cycles");
+        assert_eq!(egress0_busy(&net), Some(1));
         assert_eq!(net.transit_histogram().count(), 1);
         net.reset_stats();
         assert_eq!(net.messages(), 0);
-        assert_eq!(net.egress_utilization(NodeId(0), 10), 0.0);
+        assert_eq!(egress0_busy(&net), Some(0));
         assert_eq!(net.transit_histogram().count(), 0);
     }
 

@@ -1,22 +1,17 @@
 //! The unified statistics spine.
 //!
 //! Every hardware model in the workspace (bus, memory banks, protocol
-//! engines, network ports, …) keeps its own counters; [`Component`] is
-//! the one interface through which the machine walks them. A component
-//! answers two questions — "what have you counted?"
-//! ([`Component::stats_snapshot`])
-//! and "start counting afresh" ([`Component::reset_stats`]) — and a
-//! composite component (a node, the whole machine) answers them by
-//! aggregating its children into one [`ComponentStats`] tree.
+//! engines, network ports, …) keeps its own counters and answers two
+//! questions through inherent methods of the same names: "what have you
+//! counted?" (`stats_snapshot`) and "start counting afresh"
+//! (`reset_stats`). A composite (a node, the whole machine) answers them
+//! by calling its children's, so a snapshot is one [`ComponentStats`]
+//! tree in which a component appears only where its parent adds it.
 //!
-//! The walk is *observational*: taking a snapshot never mutates the
-//! component, and resetting statistics never touches simulated state
-//! (reservations, queue contents, busy times). That is what makes the
-//! spine safe to thread through a calibrated simulator — reports are
-//! derived from the same counters the components already keep, collected
-//! in one canonical pass instead of ad-hoc per-field plumbing.
-
-use crate::Cycle;
+//! Taking a snapshot never mutates a component, and resetting statistics
+//! never touches simulated state (reservations, queue contents, busy
+//! times), so the tree is safe to read from a calibrated simulator: it
+//! holds the same counters the components already keep.
 
 /// A named snapshot of one component's statistics, with child components
 /// nested beneath it.
@@ -107,49 +102,9 @@ impl ComponentStats {
     }
 }
 
-/// A hardware model that participates in the statistics spine.
-pub trait Component {
-    /// The component's name within its parent (e.g. `"bus"`, `"net"`).
-    fn component_name(&self) -> &'static str;
-
-    /// A snapshot of the component's statistics, children included.
-    fn stats_snapshot(&self) -> ComponentStats;
-
-    /// Resets statistics without disturbing simulated state (pending
-    /// reservations, queue contents, busy intervals all survive).
-    fn reset_stats(&mut self);
-}
-
-impl Component for crate::Server {
-    fn component_name(&self) -> &'static str {
-        self.name()
-    }
-
-    fn stats_snapshot(&self) -> ComponentStats {
-        ComponentStats::named(self.name())
-            .counter("requests", self.requests())
-            .counter("busy_cycles", self.busy_cycles())
-            .gauge("mean_queue_delay", self.mean_queue_delay())
-    }
-
-    fn reset_stats(&mut self) {
-        crate::Server::reset_stats(self);
-    }
-}
-
-/// Convenience: utilization of a `busy_cycles` counter over `elapsed`.
-pub fn utilization(busy: Cycle, elapsed: Cycle) -> f64 {
-    if elapsed == 0 {
-        0.0
-    } else {
-        busy as f64 / elapsed as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Server;
 
     #[test]
     fn tree_totals_and_lookup() {
@@ -168,36 +123,12 @@ mod tests {
     }
 
     #[test]
-    fn server_component_snapshot_and_reset() {
-        let mut s = Server::new("bank");
-        s.acquire(0, 10);
-        let snap = s.stats_snapshot();
-        assert_eq!(snap.name, "bank");
-        assert_eq!(snap.get_counter("requests"), Some(1));
-        assert_eq!(snap.get_counter("busy_cycles"), Some(10));
-        Component::reset_stats(&mut s);
-        assert_eq!(s.stats_snapshot().get_counter("requests"), Some(0));
-        // Reservations survive the reset: the server is still busy.
-        assert_eq!(s.next_free(), 10);
-    }
-
-    #[test]
     fn render_is_indented_by_depth() {
         let tree = ComponentStats::named("m")
             .child(ComponentStats::named("c").counter("x", 1).gauge("g", 0.5));
         let text = tree.render();
         assert!(text.contains("m:\n"));
         assert!(text.contains("  c: x=1 g=0.500"));
-    }
-
-    #[test]
-    fn utilization_guards_zero_elapsed() {
-        // An empty measured phase (elapsed == 0) must report 0, not NaN.
-        assert_eq!(utilization(10, 0), 0.0);
-        assert_eq!(utilization(0, 0), 0.0);
-        assert!(utilization(u64::MAX, 0).is_finite());
-        assert!((utilization(25, 100) - 0.25).abs() < 1e-12);
-        assert_eq!(utilization(0, 100), 0.0);
     }
 
     /// A four-level tree exercising `total`, `find` and `render` past the

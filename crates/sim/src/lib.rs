@@ -12,9 +12,9 @@
 //!   network ports). A client asks for the resource at time `t` for `d`
 //!   cycles and receives the grant time; the server records utilization and
 //!   queueing-delay statistics as a side effect.
-//! * [`Component`] — the statistics spine: one interface through which a
-//!   machine model walks every hardware component for snapshots
-//!   ([`ComponentStats`]) and measurement-window resets.
+//! * [`ComponentStats`] — the statistics spine: the tree of named
+//!   counters and gauges that each hardware model's inherent
+//!   `stats_snapshot` builds, children nested under their parent.
 //! * [`stats`] — counters and running means used to produce the paper's
 //!   communication statistics (Tables 6 and 7).
 //! * [`SplitMix64`] — a tiny deterministic RNG for components that need
@@ -52,7 +52,7 @@ mod rng;
 mod server;
 pub mod stats;
 
-pub use component::{Component, ComponentStats};
+pub use component::ComponentStats;
 pub use event::EventQueue;
 pub use hash::{FxHashMap, FxHashSet};
 pub use rng::SplitMix64;

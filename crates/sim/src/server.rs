@@ -1,7 +1,7 @@
 //! FIFO reservation servers for bandwidth resources.
 
 use crate::stats::Histogram;
-use crate::Cycle;
+use crate::{ComponentStats, Cycle};
 
 /// A FIFO *reservation server*: the timing model for a pipelined bandwidth
 /// resource such as a bus address slot stream, a data bus, a memory bank,
@@ -109,6 +109,14 @@ impl Server {
         self.name
     }
 
+    /// A snapshot of the server's statistics, named after the server.
+    pub fn stats_snapshot(&self) -> ComponentStats {
+        ComponentStats::named(self.name)
+            .counter("requests", self.requests())
+            .counter("busy_cycles", self.busy)
+            .gauge("mean_queue_delay", self.mean_queue_delay())
+    }
+
     /// Resets statistics (busy time and queue-delay records) without
     /// forgetting the current reservation horizon.
     ///
@@ -169,6 +177,20 @@ mod tests {
         assert_eq!(s.queue_delay_histogram().count(), 0);
         // still reserved until 100
         assert_eq!(s.acquire(0, 1), 100);
+    }
+
+    #[test]
+    fn snapshot_and_reset() {
+        let mut s = Server::new("bank");
+        s.acquire(0, 10);
+        let snap = s.stats_snapshot();
+        assert_eq!(snap.name, "bank");
+        assert_eq!(snap.get_counter("requests"), Some(1));
+        assert_eq!(snap.get_counter("busy_cycles"), Some(10));
+        s.reset_stats();
+        assert_eq!(s.stats_snapshot().get_counter("requests"), Some(0));
+        // Reservations survive the reset: the server is still busy.
+        assert_eq!(s.next_free(), 10);
     }
 
     #[test]

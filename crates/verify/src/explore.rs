@@ -22,7 +22,8 @@ pub struct Bounds {
     /// bound are recorded but not expanded; if any such state exists the
     /// report is marked non-exhaustive.
     pub depth: u32,
-    /// Hard cap on distinct states (memory guard).
+    /// Hard cap on distinct states (memory guard): the search ends when
+    /// it finds a new state with this many already visited.
     pub max_states: usize,
     /// Step cap for the per-state drain probe and for trace replay.
     pub drain_cap: u32,
@@ -89,6 +90,8 @@ pub struct Report {
     /// Whether the reachable state space was covered completely (no state
     /// was left unexpanded because of the depth or state bound).
     pub exhaustive: bool,
+    /// The state cap, when reaching it ended the search.
+    pub state_cap: Option<usize>,
     /// Deepest BFS layer reached.
     pub depth_reached: u32,
     /// The first violation found, if any (with a shrunk trace).
@@ -98,10 +101,10 @@ pub struct Report {
 impl Report {
     /// One-line summary for logs and the CLI.
     pub fn summary(&self) -> String {
-        let cover = if self.exhaustive {
-            "exhaustive"
-        } else {
-            "bounded"
+        let cover = match self.state_cap {
+            Some(cap) => format!("stopped at the {cap}-state cap"),
+            None if self.exhaustive => "exhaustive".to_string(),
+            None => "bounded".to_string(),
         };
         match &self.violation {
             None => format!(
@@ -137,8 +140,9 @@ pub fn explore(cfg: &ModelConfig, bounds: &Bounds) -> Report {
     let mut transitions: u64 = 0;
     let mut exhaustive = true;
     let mut depth_reached: u32 = 0;
+    let mut state_cap = None;
 
-    while let Some((id, depth, state)) = frontier.pop_front() {
+    'search: while let Some((id, depth, state)) = frontier.pop_front() {
         depth_reached = depth_reached.max(depth);
         if depth >= bounds.depth {
             exhaustive = false;
@@ -167,6 +171,11 @@ pub fn explore(cfg: &ModelConfig, bounds: &Bounds) -> Report {
             if visited.contains_key(&key) {
                 continue;
             }
+            if visited.len() >= bounds.max_states {
+                exhaustive = false;
+                state_cap = Some(bounds.max_states);
+                break 'search;
+            }
             if let Some((kind, drain_labels)) = drain_probe(cfg, &next, bounds.drain_cap) {
                 let mut labels = path_labels(&meta, id);
                 labels.push(label);
@@ -184,11 +193,7 @@ pub fn explore(cfg: &ModelConfig, bounds: &Bounds) -> Report {
             let nid = meta.len() as u32;
             visited.insert(key, nid);
             meta.push((id, Some(label)));
-            if visited.len() >= bounds.max_states {
-                exhaustive = false;
-            } else {
-                frontier.push_back((nid, depth + 1, next));
-            }
+            frontier.push_back((nid, depth + 1, next));
         }
     }
 
@@ -196,6 +201,7 @@ pub fn explore(cfg: &ModelConfig, bounds: &Bounds) -> Report {
         states: visited.len(),
         transitions,
         exhaustive,
+        state_cap,
         depth_reached,
         violation: None,
     }
@@ -261,6 +267,7 @@ fn finish(
         states,
         transitions,
         exhaustive: false,
+        state_cap: None,
         depth_reached,
         violation: Some(violation),
     }
@@ -281,6 +288,29 @@ mod tests {
             report.states > 100,
             "suspiciously small space: {}",
             report.states
+        );
+    }
+
+    #[test]
+    fn state_cap_bounds_the_visited_set() {
+        let cfg = ModelConfig {
+            nodes: 3,
+            ..ModelConfig::default()
+        };
+        let report = explore(
+            &cfg,
+            &Bounds {
+                max_states: 1_000,
+                ..Bounds::default()
+            },
+        );
+        assert!(report.violation.is_none(), "{:?}", report.violation);
+        assert!(report.states <= 1_000, "{} states", report.states);
+        assert!(!report.exhaustive);
+        assert!(
+            report.summary().contains("1000-state cap"),
+            "{}",
+            report.summary()
         );
     }
 

@@ -25,12 +25,11 @@ use std::path::{Path, PathBuf};
 
 use ccn_harness::Json;
 use ccn_scenario::{
-    record_with_limit, run_scenario_conformance, scenario_config, sweep::shape_of,
-    sweep::SCENARIO_EVENT_LIMIT, Scenario, ScenarioSpec, Trace, TraceReplay, NODE_SETS,
-    PHASE_KINDS,
+    record_with_limit, run_checked, run_scenario_conformance, scenario_config, sweep::shape_of,
+    Scenario, ScenarioSpec, Trace, TraceReplay, NODE_SETS, PHASE_KINDS,
 };
 use ccnuma::sweep::scale_tag;
-use ccnuma::{Architecture, Machine, RunRecord, Runner};
+use ccnuma::{Architecture, RunRecord, Runner};
 
 use crate::{git_describe, jobs_from_flags, options_from_flags};
 
@@ -347,10 +346,11 @@ fn cmd_record(operands: &[&str], args: &[String]) -> i32 {
                 return 1;
             }
         };
-        let (orig, orig_snap) = run_report(&scenario, &cfg);
-        let replay = TraceReplay::new(loaded);
-        let (back, back_snap) = run_report(&replay, &cfg);
-        if orig == back && orig_snap.digest() == back_snap.digest() {
+        let (orig, orig_snap) = run_checked(&scenario, cfg.clone());
+        let (back, back_snap) = run_checked(&TraceReplay::new(loaded), cfg);
+        if RunRecord::from_report(&orig) == RunRecord::from_report(&back)
+            && orig_snap.digest() == back_snap.digest()
+        {
             println!(
                 "replay check: report and functional snapshot identical (digest {:016x})",
                 orig_snap.digest()
@@ -361,16 +361,6 @@ fn cmd_record(operands: &[&str], args: &[String]) -> i32 {
         }
     }
     0
-}
-
-fn run_report(
-    app: &dyn ccn_workloads::Application,
-    cfg: &ccnuma::SystemConfig,
-) -> (RunRecord, ccnuma::FunctionalSnapshot) {
-    let mut machine = Machine::new(cfg.clone(), app).expect("valid scenario config");
-    let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
-    let snap = machine.functional_snapshot();
-    (RunRecord::from_report(&report), snap)
 }
 
 fn cmd_replay(operands: &[&str], args: &[String]) -> i32 {
@@ -415,13 +405,12 @@ fn cmd_replay(operands: &[&str], args: &[String]) -> i32 {
         trace.shape.nodes,
         trace.shape.procs_per_node
     );
-    let replay = TraceReplay::new(trace);
-    let (rec, snap) = run_report(&replay, &cfg);
+    let (report, snap) = run_checked(&TraceReplay::new(trace), cfg);
     println!(
         "  exec cycles {}  instructions {}  cc arrivals {}  digest {:016x}",
-        rec.exec_cycles,
-        rec.instructions,
-        rec.cc_arrivals,
+        report.exec_cycles,
+        report.instructions,
+        report.cc_arrivals,
         snap.digest()
     );
     0

@@ -44,8 +44,8 @@ pub use phase::{PhaseKind, NODE_SETS, PHASE_KINDS};
 pub use scenario::Scenario;
 pub use spec::{NodeSet, PhaseSpec, ScenarioSpec, SpecError};
 pub use sweep::{
-    run_scenario_case, run_scenario_conformance, scenario_config, shape_of, ScenarioRecord,
-    SCENARIO_EVENT_LIMIT, SCENARIO_L2_BYTES,
+    run_checked, run_scenario_case, run_scenario_conformance, scenario_config, shape_of,
+    ScenarioRecord, SCENARIO_EVENT_LIMIT, SCENARIO_L2_BYTES,
 };
 pub use trace::{record, record_with_limit, Trace, TraceError, TraceReplay};
 pub use zipf::Zipf;

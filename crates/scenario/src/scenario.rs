@@ -4,14 +4,15 @@
 //! per-processor segment programs separated by machine-global barriers,
 //! with barrier and lock ids allocated from a single fresh counter so no
 //! phase can collide with another. When the spec's `scrub` flag is on
-//! (the default) the scenario appends the same deterministic epilogue the
-//! `ccn-verify` conformance suite uses — every processor flushes its
+//! (the default) the scenario appends the deterministic epilogue the
+//! `ccn-verify` conformance suite also uses
+//! ([`ccn_workloads::append_scrub`]) — every processor flushes its
 //! cache by walking a private home-local scratch region, then processor 0
 //! rewrites and flushes every shared region — leaving a functional
 //! snapshot that is bit-identical across all four controller
 //! architectures.
 
-use ccn_workloads::{Access, AddressSpace, AppBuild, Application, MachineShape, Segment};
+use ccn_workloads::{append_scrub, AddressSpace, AppBuild, Application, MachineShape, Segment};
 
 use crate::phase::LowerCtx;
 use crate::spec::ScenarioSpec;
@@ -34,12 +35,6 @@ impl Scenario {
             spec,
             l2_bytes: SCENARIO_L2_BYTES,
         }
-    }
-
-    /// Wraps a spec with an explicit L2 capacity (must match the machine
-    /// config, or the flush epilogue cannot guarantee full eviction).
-    pub fn with_l2(spec: ScenarioSpec, l2_bytes: u64) -> Scenario {
-        Scenario { spec, l2_bytes }
     }
 }
 
@@ -105,66 +100,6 @@ impl Application for Scenario {
             programs,
             placements: space.into_placements(),
         }
-    }
-}
-
-/// Appends the deterministic scrub epilogue (the `ccn-verify` ConfApp
-/// pattern): flush everyone, have processor 0 rewrite every shared
-/// region line, flush processor 0 again — all barrier-separated — so the
-/// final functional snapshot is architecture-independent.
-fn append_scrub(
-    programs: &mut [Vec<Segment>],
-    space: &mut AddressSpace,
-    shape: &MachineShape,
-    regions: &[(u64, u64)],
-    next_barrier: &mut u32,
-    l2_bytes: u64,
-) {
-    let nprocs = programs.len();
-    // Private, home-local scratch: walking 2× the L2 evicts every prior
-    // occupant of every set without creating directory state.
-    let flush_bytes = 2 * l2_bytes;
-    let scratch: Vec<u64> = (0..nprocs)
-        .map(|p| space.alloc_at(flush_bytes, shape.node_of(p) as u16))
-        .collect();
-    let scratch2 = space.alloc_at(flush_bytes, shape.node_of(0) as u16);
-    let flush = |base: u64| Segment::Walk {
-        base,
-        bytes: flush_bytes,
-        stride: shape.line_bytes as u32,
-        access: Access::Read,
-        work: 0,
-    };
-    let mut fresh = || {
-        let id = *next_barrier;
-        *next_barrier += 1;
-        id
-    };
-    let barriers = [fresh(), fresh(), fresh(), fresh()];
-    for (p, prog) in programs.iter_mut().enumerate() {
-        prog.push(Segment::Barrier(barriers[0]));
-        prog.push(flush(scratch[p]));
-        prog.push(Segment::Barrier(barriers[1]));
-        if p == 0 {
-            for &(base, bytes) in regions {
-                // Round up to whole lines so even a sub-line region's
-                // line is rewritten (allocations are page-granular, so
-                // the rounding stays inside the region's pages).
-                let lines = bytes.div_ceil(shape.line_bytes);
-                prog.push(Segment::Walk {
-                    base,
-                    bytes: lines * shape.line_bytes,
-                    stride: shape.line_bytes as u32,
-                    access: Access::Write,
-                    work: 0,
-                });
-            }
-        }
-        prog.push(Segment::Barrier(barriers[2]));
-        if p == 0 {
-            prog.push(flush(scratch2));
-        }
-        prog.push(Segment::Barrier(barriers[3]));
     }
 }
 

@@ -12,9 +12,11 @@
 use std::path::Path;
 
 use ccn_harness::Json;
-use ccn_workloads::MachineShape;
+use ccn_workloads::{Application, MachineShape};
 use ccnuma::experiments::Options;
-use ccnuma::{Architecture, FunctionalSnapshot, Machine, Runner, SweepRecord, SystemConfig};
+use ccnuma::{
+    Architecture, FunctionalSnapshot, Machine, Runner, SimReport, SweepRecord, SystemConfig,
+};
 
 use crate::scenario::Scenario;
 use crate::spec::ScenarioSpec;
@@ -72,6 +74,27 @@ pub struct ScenarioRecord {
     pub cc_arrivals: u64,
 }
 
+impl ScenarioRecord {
+    fn new(
+        scenario: &Scenario,
+        arch: Architecture,
+        report: &SimReport,
+        snap: &FunctionalSnapshot,
+    ) -> Self {
+        ScenarioRecord {
+            scenario: scenario.spec.name.clone(),
+            architecture: arch.name().to_string(),
+            digest: snap.digest(),
+            versions: snap.versions.len() as u64,
+            memory: snap.memory.len() as u64,
+            directory: snap.directory.len() as u64,
+            exec_cycles: report.exec_cycles,
+            instructions: report.instructions,
+            cc_arrivals: report.cc_arrivals,
+        }
+    }
+}
+
 impl SweepRecord for ScenarioRecord {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -121,43 +144,41 @@ pub fn scenario_job_id(
     )
 }
 
-/// Runs one (scenario, architecture) pair and returns the record plus
-/// the full snapshot (for diffing on mismatch).
+/// Runs `app` on `cfg` under the [`SCENARIO_EVENT_LIMIT`] watchdog,
+/// checks the quiescence invariants and snapshots the end state.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid, the run trips the event-limit
 /// watchdog, or the machine fails its quiescence check — all workload or
 /// simulator bugs a sweep should surface, not swallow.
+pub fn run_checked(app: &dyn Application, cfg: SystemConfig) -> (SimReport, FunctionalSnapshot) {
+    let mut machine = Machine::new(cfg, app).expect("valid scenario config");
+    let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
+    machine.check_quiescent().unwrap_or_else(|e| {
+        panic!(
+            "{} on {}: invariant violated: {e}",
+            app.name(),
+            report.architecture
+        )
+    });
+    (report, machine.functional_snapshot())
+}
+
+/// Runs one (scenario, architecture) pair and returns the record plus
+/// the full snapshot (for diffing on mismatch).
+///
+/// # Panics
+///
+/// As [`run_checked`].
 pub fn run_scenario_case(
     scenario: &Scenario,
     arch: Architecture,
     nodes: usize,
     procs_per_node: usize,
 ) -> (ScenarioRecord, FunctionalSnapshot) {
-    let cfg = scenario_config(arch, nodes, procs_per_node);
-    let mut machine = Machine::new(cfg, scenario).expect("valid scenario config");
-    let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
-    machine.check_quiescent().unwrap_or_else(|e| {
-        panic!(
-            "scenario '{}' on {}: invariant violated: {e}",
-            scenario.spec.name,
-            arch.name()
-        )
-    });
-    let snap = machine.functional_snapshot();
-    let rec = ScenarioRecord {
-        scenario: scenario.spec.name.clone(),
-        architecture: arch.name().to_string(),
-        digest: snap.digest(),
-        versions: snap.versions.len() as u64,
-        memory: snap.memory.len() as u64,
-        directory: snap.directory.len() as u64,
-        exec_cycles: report.exec_cycles,
-        instructions: report.instructions,
-        cc_arrivals: report.cc_arrivals,
-    };
-    (rec, snap)
+    let (report, snap) = run_checked(scenario, scenario_config(arch, nodes, procs_per_node));
+    (ScenarioRecord::new(scenario, arch, &report, &snap), snap)
 }
 
 /// Runs `spec` across all four architectures on `runner` and checks the
@@ -189,34 +210,14 @@ pub fn run_scenario_conformance(
         .collect();
     let metrics_dir = metrics_dir.map(Path::to_path_buf);
     let records: Vec<ScenarioRecord> = runner.run_keyed(jobs, |&arch| {
-        let cfg = scenario_config(arch, nodes, ppn);
-        let mut machine = Machine::new(cfg, &scenario).expect("valid scenario config");
-        let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
-        machine.check_quiescent().unwrap_or_else(|e| {
-            panic!(
-                "scenario '{}' on {}: invariant violated: {e}",
-                scenario.spec.name,
-                arch.name()
-            )
-        });
-        let snap = machine.functional_snapshot();
+        let (report, snap) = run_checked(&scenario, scenario_config(arch, nodes, ppn));
         if let Some(dir) = &metrics_dir {
             let id = scenario_job_id(&scenario.spec, nodes, ppn, arch);
             let payload = ccnuma::observe::report_metrics(&report);
             ccn_obs::write_sidecar(dir, &id, &payload)
                 .unwrap_or_else(|e| panic!("writing metrics sidecar for {id}: {e}"));
         }
-        ScenarioRecord {
-            scenario: scenario.spec.name.clone(),
-            architecture: arch.name().to_string(),
-            digest: snap.digest(),
-            versions: snap.versions.len() as u64,
-            memory: snap.memory.len() as u64,
-            directory: snap.directory.len() as u64,
-            exec_cycles: report.exec_cycles,
-            instructions: report.instructions,
-            cc_arrivals: report.cc_arrivals,
-        }
+        ScenarioRecord::new(&scenario, arch, &report, &snap)
     });
     let base = &records[0];
     for rec in &records[1..] {

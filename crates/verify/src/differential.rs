@@ -23,7 +23,9 @@
 
 use ccn_harness::Json;
 use ccn_sim::SplitMix64;
-use ccn_workloads::{Access, AddressSpace, AppBuild, Application, MachineShape, Segment};
+use ccn_workloads::{
+    append_scrub, Access, AddressSpace, AppBuild, Application, MachineShape, Segment,
+};
 use ccnuma::{Architecture, FunctionalSnapshot, Machine, Runner, SweepRecord, SystemConfig};
 
 /// The four controller architectures under comparison.
@@ -120,23 +122,8 @@ impl Application for ConfApp {
         let writes = c.touches * c.write_percent / 100;
         let reads = c.touches - writes;
         let nprocs = shape.nprocs();
-        // Private scratch regions, home-local to each processor's node so
-        // they never create directory state; walking 2× the L2 evicts
-        // every prior occupant of every set.
-        let flush_bytes = 2 * self.l2_bytes;
-        let scratch: Vec<u64> = (0..nprocs)
-            .map(|p| space.alloc_at(flush_bytes, shape.node_of(p) as u16))
-            .collect();
-        let scratch2 = space.alloc_at(flush_bytes, shape.node_of(0) as u16);
-        let flush = |base: u64| Segment::Walk {
-            base,
-            bytes: flush_bytes,
-            stride: shape.line_bytes as u32,
-            access: Access::Read,
-            work: 0,
-        };
         let mut programs = Vec::with_capacity(nprocs);
-        for (p, &my_scratch) in scratch.iter().enumerate() {
+        for p in 0..nprocs {
             let mut segs = vec![Segment::Barrier(0), Segment::StartMeasurement];
             // Body: the torture envelope.
             for phase in 0..c.phases {
@@ -170,29 +157,17 @@ impl Application for ConfApp {
                 }
                 segs.push(Segment::Barrier(1 + phase));
             }
-            // Scrub epilogue: everyone flushes, then processor 0 rewrites
-            // every shared line and flushes again, leaving the shared
-            // region at a deterministic version in home memory with idle
-            // directory entries.
-            segs.push(Segment::Barrier(100));
-            segs.push(flush(my_scratch));
-            segs.push(Segment::Barrier(101));
-            if p == 0 {
-                segs.push(Segment::Walk {
-                    base: region,
-                    bytes: region_bytes,
-                    stride: shape.line_bytes as u32,
-                    access: Access::Write,
-                    work: 0,
-                });
-            }
-            segs.push(Segment::Barrier(102));
-            if p == 0 {
-                segs.push(flush(scratch2));
-            }
-            segs.push(Segment::Barrier(103));
             programs.push(segs);
         }
+        // Barriers 100..=103 stay clear of the body's 1..=phases.
+        append_scrub(
+            &mut programs,
+            &mut space,
+            shape,
+            &[(region, region_bytes)],
+            &mut 100,
+            self.l2_bytes,
+        );
         AppBuild {
             programs,
             placements: space.into_placements(),

@@ -20,6 +20,9 @@
 //!   torture tests.
 //! * [`suite`] — named problem-size presets (Table 5 sizes and scaled-down
 //!   defaults).
+//! * [`append_scrub`] — the barrier-separated flush/rewrite/flush
+//!   epilogue that leaves a run's functional end state independent of
+//!   the controller architecture.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -108,6 +111,70 @@ impl AppBuild {
             lines += e - s;
         }
         lines as usize
+    }
+}
+
+/// Appends the deterministic scrub epilogue to every program: everyone
+/// flushes their cache, processor 0 rewrites every line of `regions` and
+/// flushes again, all separated by four barriers numbered from
+/// `next_barrier` (which advances past them). The shared lines end at a
+/// deterministic version in home memory with idle directory entries, so
+/// the final functional snapshot is architecture-independent.
+/// `l2_bytes` must be the machine's L2 capacity: each flush walks twice
+/// that.
+pub fn append_scrub(
+    programs: &mut [Vec<Segment>],
+    space: &mut AddressSpace,
+    shape: &MachineShape,
+    regions: &[(u64, u64)],
+    next_barrier: &mut u32,
+    l2_bytes: u64,
+) {
+    let nprocs = programs.len();
+    // Private, home-local scratch: walking 2× the L2 evicts every prior
+    // occupant of every set without creating directory state.
+    let flush_bytes = 2 * l2_bytes;
+    let scratch: Vec<u64> = (0..nprocs)
+        .map(|p| space.alloc_at(flush_bytes, shape.node_of(p) as u16))
+        .collect();
+    let scratch2 = space.alloc_at(flush_bytes, shape.node_of(0) as u16);
+    let flush = |base: u64| Segment::Walk {
+        base,
+        bytes: flush_bytes,
+        stride: shape.line_bytes as u32,
+        access: Access::Read,
+        work: 0,
+    };
+    let mut fresh = || {
+        let id = *next_barrier;
+        *next_barrier += 1;
+        id
+    };
+    let barriers = [fresh(), fresh(), fresh(), fresh()];
+    for (p, prog) in programs.iter_mut().enumerate() {
+        prog.push(Segment::Barrier(barriers[0]));
+        prog.push(flush(scratch[p]));
+        prog.push(Segment::Barrier(barriers[1]));
+        if p == 0 {
+            for &(base, bytes) in regions {
+                // Round up to whole lines so even a sub-line region's
+                // line is rewritten (allocations are page-granular, so
+                // the rounding stays inside the region's pages).
+                let lines = bytes.div_ceil(shape.line_bytes);
+                prog.push(Segment::Walk {
+                    base,
+                    bytes: lines * shape.line_bytes,
+                    stride: shape.line_bytes as u32,
+                    access: Access::Write,
+                    work: 0,
+                });
+            }
+        }
+        prog.push(Segment::Barrier(barriers[2]));
+        if p == 0 {
+            prog.push(flush(scratch2));
+        }
+        prog.push(Segment::Barrier(barriers[3]));
     }
 }
 

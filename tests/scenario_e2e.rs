@@ -11,14 +11,11 @@ use std::fs;
 use std::path::Path;
 
 use ccnuma_repro::ccn_scenario::{
-    record, run_scenario_conformance, scenario_config, shape_of, Scenario, ScenarioSpec, Trace,
-    TraceReplay, SCENARIO_EVENT_LIMIT,
+    record, run_checked, run_scenario_conformance, scenario_config, shape_of, Scenario,
+    ScenarioSpec, Trace, TraceReplay,
 };
-use ccnuma_repro::ccn_workloads::Application;
 use ccnuma_repro::ccnuma::experiments::Options;
-use ccnuma_repro::ccnuma::{
-    Architecture, FunctionalSnapshot, Machine, RunRecord, Runner, SystemConfig,
-};
+use ccnuma_repro::ccnuma::{Architecture, RunRecord, Runner};
 
 fn example(file: &str) -> ScenarioSpec {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -26,16 +23,6 @@ fn example(file: &str) -> ScenarioSpec {
         .join(file);
     let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     ScenarioSpec::parse_str(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
-}
-
-fn run_once(app: &dyn Application, cfg: &SystemConfig) -> (RunRecord, FunctionalSnapshot) {
-    let mut machine = Machine::new(cfg.clone(), app).expect("valid config");
-    let report = machine.run_with_event_limit(SCENARIO_EVENT_LIMIT);
-    machine.check_quiescent().unwrap_or_else(|e| panic!("{e}"));
-    (
-        RunRecord::from_report(&report),
-        machine.functional_snapshot(),
-    )
 }
 
 #[test]
@@ -113,9 +100,13 @@ fn recorded_trace_replays_with_identical_report_and_snapshot() {
     let trace = Trace::from_bytes(&trace.to_bytes()).expect("trace decodes");
     let replay = TraceReplay::new(trace);
 
-    let (live_rec, live_snap) = run_once(&scenario, &cfg);
-    let (replay_rec, replay_snap) = run_once(&replay, &cfg);
-    assert_eq!(live_rec, replay_rec, "replay changed the timed report");
+    let (live, live_snap) = run_checked(&scenario, cfg.clone());
+    let (replayed, replay_snap) = run_checked(&replay, cfg);
+    assert_eq!(
+        RunRecord::from_report(&live),
+        RunRecord::from_report(&replayed),
+        "replay changed the timed report"
+    );
     assert_eq!(
         live_snap.digest(),
         replay_snap.digest(),

@@ -226,12 +226,6 @@ impl SystemConfig {
         self
     }
 
-    /// Enables or disables the replacement-hint protocol extension.
-    pub fn with_replacement_hints(mut self, hints: bool) -> Self {
-        self.replacement_hints = hints;
-        self
-    }
-
     /// Sets the directory sharer representation.
     pub fn with_dir_format(mut self, format: DirFormat) -> Self {
         self.dir_format = format;

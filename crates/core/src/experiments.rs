@@ -431,10 +431,6 @@ pub fn table7_with(runner: &Runner) -> Table7Data {
 }
 
 /// Derives a Table 7 row from a two-engine run.
-pub fn table7_row(report: &SimReport) -> Table7Row {
-    table7_row_from(&RunRecord::from_report(report))
-}
-
 fn table7_row_from(record: &RunRecord) -> Table7Row {
     Table7Row {
         app: record.workload.clone(),

@@ -15,7 +15,7 @@
 //! sequential one.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use ccn_harness::pool::JobStatus;
@@ -342,20 +342,9 @@ impl Runner {
         self
     }
 
-    /// Sets the attempt budget per job (minimum 1).
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
     /// The machine size and problem scale this runner sweeps at.
     pub fn options(&self) -> Options {
         self.opts
-    }
-
-    /// The checkpoint path, if checkpointing is enabled.
-    pub fn checkpoint_path(&self) -> Option<&Path> {
-        self.checkpoint.as_deref()
     }
 
     /// Cumulative statistics over every sweep this runner has executed.

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::{self, Json};
 
@@ -121,7 +121,6 @@ pub fn load(path: &Path) -> std::io::Result<Checkpoint> {
 #[derive(Debug)]
 pub struct CheckpointWriter {
     file: File,
-    path: PathBuf,
 }
 
 impl CheckpointWriter {
@@ -135,10 +134,7 @@ impl CheckpointWriter {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut writer = CheckpointWriter {
-            file,
-            path: path.to_path_buf(),
-        };
+        let mut writer = CheckpointWriter { file };
         let len = writer.file.metadata()?.len();
         if len == 0 {
             let mut obj = vec![
@@ -162,11 +158,6 @@ impl CheckpointWriter {
             }
         }
         Ok(writer)
-    }
-
-    /// The file being appended to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Records a successfully completed job.
@@ -218,6 +209,7 @@ impl CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -6,10 +6,9 @@
 //! embarrassingly parallel grid of deterministic simulations. This crate
 //! industrializes that sweep:
 //!
-//! * **Deterministic jobs** — a [`Job`] couples a stable string id with a
-//!   seed derived from that id ([`stable_seed`]), so a job means the same
-//!   thing no matter which worker runs it, in which order, in which
-//!   process.
+//! * **Deterministic jobs** — a [`Job`] pairs a stable string id with its
+//!   input, so a job means the same thing no matter which worker runs it,
+//!   in which order, in which process.
 //! * **Panic isolation** — [`run_jobs`] executes jobs on a
 //!   `std::thread` pool under `catch_unwind` with a bounded attempt
 //!   budget: one diverging simulation cannot kill a multi-hour sweep.
@@ -43,22 +42,20 @@ pub use progress::SweepSummary;
 /// One unit of work in a sweep.
 #[derive(Debug, Clone)]
 pub struct Job<I> {
-    /// Stable identifier: names the job in checkpoints and telemetry and
-    /// determines its seed. Two jobs with equal ids are the same job.
+    /// Stable identifier: names the job in checkpoints and telemetry.
+    /// Two jobs with equal ids are the same job.
     pub id: String,
-    /// Seed derived from the id — available to workloads that want
-    /// per-job reproducible randomness independent of scheduling.
-    pub seed: u64,
     /// The experiment-specific payload.
     pub input: I,
 }
 
 impl<I> Job<I> {
-    /// Creates a job whose seed is [`stable_seed`] of its id.
+    /// Creates a job named `id`.
     pub fn new(id: impl Into<String>, input: I) -> Self {
-        let id = id.into();
-        let seed = stable_seed(&id);
-        Job { id, seed, input }
+        Job {
+            id: id.into(),
+            input,
+        }
     }
 }
 
@@ -104,40 +101,9 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps a job id to a deterministic 64-bit seed (FNV-1a over the bytes,
-/// finished with a SplitMix64 scramble). Stable across processes,
-/// platforms, and releases — checkpointed sweeps depend on it.
-pub fn stable_seed(id: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in id.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    ccn_sim::SplitMix64::new(hash).next_u64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stable_seed_is_stable_and_id_sensitive() {
-        assert_eq!(stable_seed("fig6/ocean/HWC"), stable_seed("fig6/ocean/HWC"));
-        assert_ne!(stable_seed("fig6/ocean/HWC"), stable_seed("fig6/ocean/PPC"));
-        // Pin a value so accidental algorithm changes show up in review:
-        // checkpointed sweeps rely on seeds never moving.
-        assert_eq!(
-            stable_seed(""),
-            ccn_sim::SplitMix64::new(0xcbf2_9ce4_8422_2325).next_u64()
-        );
-    }
-
-    #[test]
-    fn job_carries_its_seed() {
-        let job = Job::new("a/b", 7u32);
-        assert_eq!(job.seed, stable_seed("a/b"));
-        assert_eq!(job.input, 7);
-    }
 
     #[test]
     fn pool_config_presets() {

@@ -150,16 +150,6 @@ impl ChromeTrace {
         self.other_data.insert(key.into(), value);
     }
 
-    /// Number of span events added so far.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Number of flow chains added so far.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Renders the trace as a `trace_event` JSON document: metadata
     /// first, then spans sorted by `(pid, tid, ts, dur)`, then counters
     /// sorted by `(pid, name, ts)`. The sort is stable, so insertion
@@ -327,9 +317,9 @@ mod tests {
     fn flows_render_start_step_finish() {
         let mut t = ChromeTrace::new();
         t.add_flow(7, "P0#3", vec![(0, 0, 10), (1, 0, 40), (0, 0, 90)]);
-        // Too short to link anything: dropped.
+        // Too short to link anything: dropped, so only the first flow's
+        // three events render.
         t.add_flow(8, "P1#0", vec![(0, 0, 5)]);
-        assert_eq!(t.flow_count(), 1);
         let evs = events(&t.into_json());
         let phs: Vec<&str> = evs
             .iter()

@@ -287,11 +287,6 @@ impl ModelState {
             && (0..cfg.lines).all(|l| !self.dirs[cfg.home_of(l).index()].is_busy(cfg.addr(l)))
     }
 
-    /// Whether any message is in flight.
-    pub fn has_flights(&self) -> bool {
-        !self.flights.is_empty()
-    }
-
     // -----------------------------------------------------------------
     // Enabled labels
     // -----------------------------------------------------------------

@@ -2,8 +2,9 @@
 //!
 //! Deterministic outputs — the paper's analytic tables, the latency
 //! probes, the model checker's state-space coverage, the
-//! cross-architecture conformance digests, and the contended timing of
-//! whole runs — are checked into
+//! cross-architecture conformance digests, the contended timing of
+//! whole runs, and the rendered component statistics tree — are checked
+//! into
 //! `tests/golden/` and compared byte-for-byte here. A failure means the
 //! simulator's observable behavior moved; if the move is intentional,
 //! regenerate the snapshots with

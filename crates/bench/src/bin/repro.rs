@@ -1119,7 +1119,7 @@ fn run_verify(opts: Options, jobs: usize, args: &[String]) -> (String, bool) {
             out,
             "\nconformance: {} case(s) x {} architectures",
             cases.len(),
-            ccn_verify::ARCHS.len()
+            ccnuma::Architecture::all().len()
         );
         match run_conformance(&runner, &cases) {
             Ok(records) => {

@@ -65,17 +65,6 @@ pub struct EngineStats {
     pub interarrival: Accumulator,
 }
 
-impl EngineStats {
-    /// Engine utilization over `elapsed` cycles.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.occupancy as f64 / elapsed as f64
-        }
-    }
-}
-
 /// Aggregate controller statistics (all engines combined), as used for the
 /// per-node rows feeding Table 6.
 #[derive(Debug, Clone, Default)]
@@ -416,7 +405,7 @@ mod tests {
         assert_eq!(s.handled, 1);
         assert_eq!(s.occupancy, 30);
         assert_eq!(s.queue_delay_hist.mean(), 10.0);
-        assert!((c.engine_stats(0).utilization(100) - 0.3).abs() < 1e-12);
+        assert_eq!(c.engine_stats(0).occupancy, 30);
     }
 
     #[test]

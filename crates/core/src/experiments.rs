@@ -300,13 +300,8 @@ pub fn table6_apps() -> Vec<SuiteApp> {
     apps
 }
 
-/// Runs Table 6: HWC and PPC on the base configuration for every
-/// application (sequentially; see [`table6_with`] for the sweep runner).
-pub fn table6(opts: Options) -> Table6Data {
-    table6_with(&Runner::sequential(opts))
-}
-
-/// Runs Table 6 through a sweep [`Runner`].
+/// Runs Table 6 through a sweep [`Runner`]: HWC and PPC on the base
+/// configuration for every application.
 pub fn table6_with(runner: &Runner) -> Table6Data {
     let apps = table6_apps();
     let mut keys = Vec::with_capacity(apps.len() * 2);
@@ -412,13 +407,8 @@ pub struct Table7Data {
     pub rows: Vec<Table7Row>,
 }
 
-/// Runs Table 7: 2HWC and 2PPC on the base configuration
-/// (sequentially; see [`table7_with`] for the sweep runner).
-pub fn table7(opts: Options) -> Table7Data {
-    table7_with(&Runner::sequential(opts))
-}
-
-/// Runs Table 7 through a sweep [`Runner`].
+/// Runs Table 7 through a sweep [`Runner`]: 2HWC and 2PPC on the base
+/// configuration.
 pub fn table7_with(runner: &Runner) -> Table7Data {
     let mut keys = Vec::new();
     for app in table6_apps() {
@@ -510,13 +500,9 @@ impl Figure {
     }
 }
 
-/// Figure 6: normalized execution time on the base system, all four
-/// architectures over the eight-application suite.
-pub fn fig6(opts: Options) -> Figure {
-    fig6_with(&Runner::sequential(opts))
-}
-
-/// Runs Figure 6 through a sweep [`Runner`].
+/// Runs Figure 6 through a sweep [`Runner`]: normalized execution time
+/// on the base system, all four architectures over the eight-application
+/// suite.
 pub fn fig6_with(runner: &Runner) -> Figure {
     normalized_figure(
         "Figure 6: normalized execution time, base system".to_string(),
@@ -526,13 +512,8 @@ pub fn fig6_with(runner: &Runner) -> Figure {
     )
 }
 
-/// Figure 7: the base suite with 32-byte cache lines, normalized to HWC on
-/// the *base* (128-byte) configuration.
-pub fn fig7(opts: Options) -> Figure {
-    fig7_with(&Runner::sequential(opts))
-}
-
-/// Runs Figure 7 through a sweep [`Runner`].
+/// Runs Figure 7 through a sweep [`Runner`]: the base suite with 32-byte
+/// cache lines, normalized to HWC on the *base* (128-byte) configuration.
 pub fn fig7_with(runner: &Runner) -> Figure {
     normalized_vs_base_figure(
         "Figure 7: normalized execution time, 32-byte lines (vs 128-byte HWC)".to_string(),
@@ -545,13 +526,9 @@ pub fn fig7_with(runner: &Runner) -> Figure {
     )
 }
 
-/// Figure 8: the four high-penalty applications on the 1 µs network,
-/// normalized to HWC on the base configuration.
-pub fn fig8(opts: Options) -> Figure {
-    fig8_with(&Runner::sequential(opts))
-}
-
-/// Runs Figure 8 through a sweep [`Runner`].
+/// Runs Figure 8 through a sweep [`Runner`]: the four high-penalty
+/// applications on the 1 µs network, normalized to HWC on the base
+/// configuration.
 pub fn fig8_with(runner: &Runner) -> Figure {
     normalized_vs_base_figure(
         "Figure 8: normalized execution time, 1 us network (vs base HWC)".to_string(),
@@ -564,13 +541,8 @@ pub fn fig8_with(runner: &Runner) -> Figure {
     )
 }
 
-/// Figure 9: FFT and Ocean at base and large data sizes, each size
-/// normalized to its own HWC run.
-pub fn fig9(opts: Options) -> Figure {
-    fig9_with(&Runner::sequential(opts))
-}
-
-/// Runs Figure 9 through a sweep [`Runner`].
+/// Runs Figure 9 through a sweep [`Runner`]: FFT and Ocean at base and
+/// large data sizes, each size normalized to its own HWC run.
 pub fn fig9_with(runner: &Runner) -> Figure {
     let apps = [
         SuiteApp::FftBase,
@@ -586,13 +558,9 @@ pub fn fig9_with(runner: &Runner) -> Figure {
     )
 }
 
-/// Figure 10: 1/2/4/8 processors per SMP node at constant total processor
-/// count, normalized to HWC with 4 processors per node.
-pub fn fig10(opts: Options, app: SuiteApp) -> Figure {
-    fig10_with(&Runner::sequential(opts), app)
-}
-
-/// Runs Figure 10 through a sweep [`Runner`].
+/// Runs Figure 10 through a sweep [`Runner`]: 1/2/4/8 processors per SMP
+/// node at constant total processor count, normalized to HWC with 4
+/// processors per node.
 pub fn fig10_with(runner: &Runner, app: SuiteApp) -> Figure {
     let ppn_values = [1usize, 2, 4, 8];
     // One grid: the base run plus every (architecture, node size) cell.
@@ -738,11 +706,6 @@ pub struct ScatterData {
     pub points: Vec<ScatterPoint>,
 }
 
-/// Runs the Figure 11/12 sweep.
-pub fn scatter(opts: Options) -> ScatterData {
-    scatter_with(&Runner::sequential(opts))
-}
-
 /// Runs the Figure 11/12 sweep through a sweep [`Runner`].
 pub fn scatter_with(runner: &Runner) -> ScatterData {
     let archs = [Architecture::Hwc, Architecture::Ppc, Architecture::TwoHwc];
@@ -865,7 +828,7 @@ mod tests {
 
     #[test]
     fn quick_fig6_runs() {
-        let fig = fig6(Options::quick());
+        let fig = fig6_with(&Runner::sequential(Options::quick()));
         assert_eq!(fig.labels.len(), 8);
         assert_eq!(fig.series.len(), 4);
         // HWC normalizes to 1.0.

@@ -347,9 +347,11 @@ impl Machine {
     }
 
     /// Like [`run`](Machine::run), but panics with diagnostics after
-    /// `max_events` events — a watchdog for tests. A controller wake-up
-    /// counts once per dispatch attempt it carries, so a budget trips in
-    /// the same cycle however many wake-ups were merged.
+    /// `max_events` events — a watchdog against livelock. Each popped
+    /// queue event counts once, whatever it carries: a controller
+    /// wake-up's merged dispatch attempts are not events, so a run
+    /// completes under a budget of its own
+    /// [`events_scheduled`](Machine::events_scheduled).
     ///
     /// # Panics
     ///
@@ -363,10 +365,7 @@ impl Machine {
             if self.sampler.is_some() {
                 self.take_due_samples(t);
             }
-            events += match ev {
-                Event::CcWork { attempts, .. } => attempts,
-                _ => 1,
-            };
+            events += 1;
             if events > max_events {
                 panic!(
                     "event budget exhausted at cycle {t}: queue={} done={}/{} event={ev:?} \
@@ -1474,8 +1473,10 @@ impl Machine {
     /// entry. Two runs of the same workload on different controller
     /// architectures may differ in every cycle count, but — if the
     /// workload ends in a cache-flushed, scrubbed state — must produce
-    /// identical snapshots. This is what the `ccn-verify` differential
-    /// conformance layer compares across HWC/PPC/2HWC/2PPC.
+    /// identical snapshots. This is what the conformance sweep
+    /// (`ccn_scenario::run_agreement`, behind both the scenario runs and
+    /// the `ccn-verify` differential cases) compares across
+    /// HWC/PPC/2HWC/2PPC.
     pub fn functional_snapshot(&self) -> FunctionalSnapshot {
         let mut versions: Vec<(u64, u64)> = Vec::with_capacity(self.versions.len());
         versions.extend(self.versions.iter().map(|(l, &v)| (l.0, v)));

@@ -99,9 +99,9 @@ impl RunKey {
 /// A job result that can ride a [`Runner`] checkpoint: serialized to one
 /// JSON-lines entry on completion and replayed from it on resume.
 ///
-/// [`RunRecord`] implements this for the paper's experiment grids; the
-/// `ccn-verify` differential-conformance sweep implements it for its own
-/// per-architecture outcome records. The contract is the same as
+/// [`RunRecord`] implements this for the paper's experiment grids, and
+/// `ccn-scenario`'s `ConformanceRecord` for the per-architecture outcomes
+/// of the conformance sweep. The contract is the same as
 /// [`RunRecord`]'s: `from_json(to_json(r)) == Some(r)`, bit-for-bit, and
 /// `from_json` returns `None` (never panics) on a foreign or outdated
 /// schema so stale checkpoint lines degrade to a re-run.
@@ -257,7 +257,6 @@ pub struct SweepStats {
 pub struct Runner {
     opts: Options,
     workers: usize,
-    max_attempts: u32,
     progress: bool,
     checkpoint: Option<PathBuf>,
     checkpoint_meta: Vec<(&'static str, Json)>,
@@ -267,14 +266,13 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// One worker, one attempt, no checkpointing, no telemetry — the
-    /// configuration the plain `fig6(opts)`-style wrappers use and the
-    /// baseline for determinism checks.
+    /// One worker, no checkpointing, no telemetry: the baseline for
+    /// determinism checks, and the runner tests hand to the `*_with`
+    /// experiment entry points.
     pub fn sequential(opts: Options) -> Self {
         Runner {
             opts,
             workers: 1,
-            max_attempts: 1,
             progress: false,
             checkpoint: None,
             checkpoint_meta: Vec::new(),
@@ -284,13 +282,11 @@ impl Runner {
         }
     }
 
-    /// A parallel runner: `workers` threads, one retry per job, live
-    /// progress on stderr.
+    /// A parallel runner: `workers` threads, live progress on stderr.
     pub fn parallel(opts: Options, workers: usize) -> Self {
         Runner {
             opts,
             workers: workers.max(1),
-            max_attempts: 2,
             progress: true,
             checkpoint: None,
             checkpoint_meta: Vec::new(),
@@ -358,10 +354,9 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics when any job exhausts its attempt budget (every other job
-    /// still ran and was checkpointed, so a re-run resumes rather than
-    /// repeating the whole sweep), or when the checkpoint file cannot be
-    /// read or written.
+    /// Panics when any job panicked (every other job still ran and was
+    /// checkpointed, so a re-run resumes rather than repeating the whole
+    /// sweep), or when the checkpoint file cannot be read or written.
     pub fn run(&self, keys: &[RunKey]) -> Vec<RunRecord> {
         let opts = self.opts;
         let jobs: Vec<(String, RunKey)> = keys.iter().map(|k| (k.id(opts), *k)).collect();
@@ -387,8 +382,8 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics when any job exhausts its attempt budget or the checkpoint
-    /// file cannot be read or written (same contract as [`Runner::run`]).
+    /// Panics when any job panicked or the checkpoint file cannot be read
+    /// or written (same contract as [`Runner::run`]).
     pub fn run_keyed<I, R, F>(&self, jobs: Vec<(String, I)>, exec: F) -> Vec<R>
     where
         I: Send + Sync,
@@ -434,7 +429,6 @@ impl Runner {
             .collect();
         let cfg = PoolConfig {
             workers: self.workers,
-            max_attempts: self.max_attempts,
             progress: self.progress,
         };
         let mut writer = self.checkpoint.as_ref().map(|path| {
@@ -454,10 +448,10 @@ impl Runner {
                 if let Some(w) = writer.as_mut() {
                     match &outcome.status {
                         JobStatus::Ok(rec) => w
-                            .record_ok(&job.id, outcome.attempts, outcome.wall_ms, rec.to_json())
+                            .record_ok(&job.id, outcome.wall_ms, rec.to_json())
                             .expect("checkpoint append"),
                         JobStatus::Failed(msg) => w
-                            .record_failed(&job.id, outcome.attempts, outcome.wall_ms, msg)
+                            .record_failed(&job.id, outcome.wall_ms, msg)
                             .expect("checkpoint append"),
                     }
                 }
@@ -482,7 +476,7 @@ impl Runner {
                 .map(|(id, msg)| format!("{id}: {msg}"))
                 .collect();
             panic!(
-                "sweep failed: {} job(s) exhausted their attempts:\n  {}",
+                "sweep failed: {} job(s) panicked:\n  {}",
                 list.len(),
                 list.join("\n  ")
             );

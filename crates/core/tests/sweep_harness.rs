@@ -92,8 +92,8 @@ fn resume_skips_completed_jobs_and_replays_identically() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// An invalid cell panics its own job; the runner retries it, records the
-/// failure, reports it in the sweep panic — and still checkpoints every
+/// An invalid cell panics its own job; the runner records the failure,
+/// reports it in the sweep panic — and still checkpoints every
 /// healthy job so a corrected re-run resumes instead of starting over.
 #[test]
 fn failing_job_is_isolated_and_healthy_jobs_are_checkpointed() {
@@ -101,7 +101,7 @@ fn failing_job_is_isolated_and_healthy_jobs_are_checkpointed() {
     let mut keys = vec![
         RunKey::new(SuiteApp::Lu, Architecture::Hwc),
         // 24 bytes is not a power of two: config validation rejects it and
-        // the job panics on every attempt.
+        // the job panics.
         RunKey::with_mods(
             SuiteApp::Lu,
             Architecture::Hwc,

@@ -4,18 +4,20 @@
 //! immediately, so an interrupted sweep loses at most the jobs that were
 //! in flight. A resumed sweep loads the file, skips every job already
 //! recorded as `"ok"`, and re-runs the rest (including jobs recorded as
-//! failed — a failure may have been environmental).
+//! failed — a failure may have been environmental, or the code since
+//! fixed).
 //!
 //! File layout:
 //!
 //! ```text
 //! {"kind":"meta","schema":1,...sweep identification...}
-//! {"kind":"job","id":"<job id>","status":"ok","attempts":1,"wall_ms":812,"data":{...}}
-//! {"kind":"job","id":"<job id>","status":"failed","attempts":3,"error":"..."}
+//! {"kind":"job","id":"<job id>","status":"ok","wall_ms":812,"data":{...}}
+//! {"kind":"job","id":"<job id>","status":"failed","wall_ms":5,"error":"..."}
 //! ```
 //!
 //! A partially written trailing line (from a crash mid-append) is ignored
-//! on load rather than poisoning the whole checkpoint.
+//! on load rather than poisoning the whole checkpoint, and so are keys the
+//! loader does not know (older checkpoints carry an `"attempts"` count).
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -34,9 +36,7 @@ pub struct CheckpointEntry {
     pub id: String,
     /// `"ok"` or `"failed"`.
     pub status: String,
-    /// Attempts the job took.
-    pub attempts: u64,
-    /// Wall time of the final attempt, in milliseconds.
+    /// Wall time of the job, in milliseconds.
     pub wall_ms: u64,
     /// The job's payload (present when `status == "ok"`).
     pub data: Option<Json>,
@@ -101,7 +101,6 @@ pub fn load(path: &Path) -> std::io::Result<Checkpoint> {
                         .and_then(Json::as_str)
                         .unwrap_or("failed")
                         .to_string(),
-                    attempts: value.get("attempts").and_then(Json::as_u64).unwrap_or(0),
                     wall_ms: value.get("wall_ms").and_then(Json::as_u64).unwrap_or(0),
                     data: value.get("data").cloned(),
                     error: value
@@ -161,36 +160,22 @@ impl CheckpointWriter {
     }
 
     /// Records a successfully completed job.
-    pub fn record_ok(
-        &mut self,
-        id: &str,
-        attempts: u32,
-        wall_ms: u64,
-        data: Json,
-    ) -> std::io::Result<()> {
+    pub fn record_ok(&mut self, id: &str, wall_ms: u64, data: Json) -> std::io::Result<()> {
         self.append_line(&Json::obj([
             ("kind", Json::Str("job".into())),
             ("id", Json::Str(id.to_string())),
             ("status", Json::Str("ok".into())),
-            ("attempts", Json::UInt(attempts as u64)),
             ("wall_ms", Json::UInt(wall_ms)),
             ("data", data),
         ]))
     }
 
-    /// Records a job that exhausted its retries.
-    pub fn record_failed(
-        &mut self,
-        id: &str,
-        attempts: u32,
-        wall_ms: u64,
-        error: &str,
-    ) -> std::io::Result<()> {
+    /// Records a job that panicked.
+    pub fn record_failed(&mut self, id: &str, wall_ms: u64, error: &str) -> std::io::Result<()> {
         self.append_line(&Json::obj([
             ("kind", Json::Str("job".into())),
             ("id", Json::Str(id.to_string())),
             ("status", Json::Str("failed".into())),
-            ("attempts", Json::UInt(attempts as u64)),
             ("wall_ms", Json::UInt(wall_ms)),
             ("error", Json::Str(error.to_string())),
         ]))
@@ -224,9 +209,9 @@ mod tests {
         {
             let mut w =
                 CheckpointWriter::open(&path, vec![("target", Json::Str("fig6".into()))]).unwrap();
-            w.record_ok("a", 1, 10, Json::obj([("cycles", Json::UInt(100))]))
+            w.record_ok("a", 10, Json::obj([("cycles", Json::UInt(100))]))
                 .unwrap();
-            w.record_failed("b", 3, 5, "panicked: boom").unwrap();
+            w.record_failed("b", 5, "panicked: boom").unwrap();
         }
         let cp = load(&path).unwrap();
         assert_eq!(
@@ -249,12 +234,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-            w.record_failed("j", 3, 5, "flaky").unwrap();
+            w.record_failed("j", 5, "flaky").unwrap();
         }
         {
             // Re-opening appends; the meta line is not duplicated.
             let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-            w.record_ok("j", 1, 7, Json::UInt(42)).unwrap();
+            w.record_ok("j", 7, Json::UInt(42)).unwrap();
         }
         let cp = load(&path).unwrap();
         assert_eq!(cp.completed("j"), Some(&Json::UInt(42)));
@@ -273,7 +258,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-            w.record_ok("good", 1, 1, Json::Null).unwrap();
+            w.record_ok("good", 1, Json::Null).unwrap();
         }
         // Simulate a crash mid-append.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -282,6 +267,21 @@ mod tests {
         let cp = load(&path).unwrap();
         assert_eq!(cp.completed_count(), 1);
         assert!(cp.completed("good").is_some());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn lines_with_an_attempts_key_still_load() {
+        let path = temp_path("attempts.jsonl");
+        std::fs::write(
+            &path,
+            "{\"kind\":\"job\",\"id\":\"old\",\"status\":\"ok\",\"attempts\":2,\
+             \"wall_ms\":3,\"data\":7}\n",
+        )
+        .unwrap();
+        let cp = load(&path).unwrap();
+        assert_eq!(cp.completed("old"), Some(&Json::UInt(7)));
+        assert_eq!(cp.entries["old"].wall_ms, 3);
         let _ = std::fs::remove_file(&path);
     }
 

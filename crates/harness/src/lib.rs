@@ -9,14 +9,15 @@
 //! * **Deterministic jobs** — a [`Job`] pairs a stable string id with its
 //!   input, so a job means the same thing no matter which worker runs it,
 //!   in which order, in which process.
-//! * **Panic isolation** — [`run_jobs`] executes jobs on a
-//!   `std::thread` pool under `catch_unwind` with a bounded attempt
-//!   budget: one diverging simulation cannot kill a multi-hour sweep.
+//! * **Panic isolation** — [`run_jobs`] executes each job once on a
+//!   `std::thread` pool under `catch_unwind`: one diverging simulation
+//!   fails its own job and cannot kill a multi-hour sweep. Jobs are
+//!   deterministic, so a failed job is not retried.
 //! * **Incremental checkpointing** — the [`checkpoint`] module appends
 //!   each completed job as a JSON line and lets a restarted sweep skip
 //!   everything already recorded.
 //! * **Telemetry** — live progress/ETA lines on stderr and an
-//!   end-of-run [`SweepSummary`] (slowest jobs, retries, failures).
+//!   end-of-run [`SweepSummary`] (slowest jobs, failures).
 //!
 //! Determinism contract: per-job results depend only on the job itself,
 //! and [`run_jobs`] returns outcomes in input order, so a sweep's
@@ -64,33 +65,8 @@ impl<I> Job<I> {
 pub struct PoolConfig {
     /// Worker threads (clamped to at least 1 and at most the job count).
     pub workers: usize,
-    /// Attempts per job before it is reported failed (minimum 1).
-    pub max_attempts: u32,
     /// Emit live progress/ETA lines to stderr.
     pub progress: bool,
-}
-
-impl PoolConfig {
-    /// One worker, no retries, no progress output: the configuration
-    /// whose behavior is easiest to reason about, used as the baseline in
-    /// determinism checks.
-    pub fn serial() -> Self {
-        PoolConfig {
-            workers: 1,
-            max_attempts: 1,
-            progress: false,
-        }
-    }
-
-    /// `workers` workers with one retry and progress output — the
-    /// default for interactive sweeps.
-    pub fn parallel(workers: usize) -> Self {
-        PoolConfig {
-            workers,
-            max_attempts: 2,
-            progress: true,
-        }
-    }
 }
 
 /// The machine's available parallelism, falling back to 1 when the
@@ -106,11 +82,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_config_presets() {
-        assert_eq!(PoolConfig::serial().workers, 1);
-        let p = PoolConfig::parallel(8);
-        assert_eq!(p.workers, 8);
-        assert!(p.max_attempts >= 2);
+    fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
     }
 }

@@ -1,10 +1,10 @@
 //! The panic-isolated worker pool.
 //!
 //! Jobs are pulled from a shared index counter by `workers` scoped
-//! threads. Each job runs under [`std::panic::catch_unwind`]: a diverging
-//! or asserting simulation takes down only its own attempt, is retried up
-//! to the configured attempt budget, and is then reported failed while the
-//! rest of the sweep keeps running.
+//! threads. Each job runs once under [`std::panic::catch_unwind`]: a
+//! diverging or asserting simulation is reported failed while the rest of
+//! the sweep keeps running. Jobs are deterministic, so a second attempt
+//! would repeat the first and none is made.
 //!
 //! Results come back indexed by the job's position in the input slice, so
 //! the caller sees the same ordering no matter how many workers ran or
@@ -24,16 +24,14 @@ use crate::{Job, PoolConfig};
 pub enum JobStatus<O> {
     /// The worker closure returned a value.
     Ok(O),
-    /// Every attempt panicked; the payload of the last panic.
+    /// The job panicked; the panic's payload.
     Failed(String),
 }
 
 /// One job's execution record.
 #[derive(Debug, Clone)]
 pub struct JobOutcome<O> {
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Total wall time across all attempts, in milliseconds.
+    /// Wall time of the job, in milliseconds.
     pub wall_ms: u64,
     /// The final status.
     pub status: JobStatus<O>,
@@ -84,7 +82,6 @@ where
 {
     let started = Instant::now();
     let workers = cfg.workers.max(1).min(jobs.len().max(1));
-    let max_attempts = cfg.max_attempts.max(1);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<JobOutcome<O>>>> =
         Mutex::new((0..jobs.len()).map(|_| None).collect());
@@ -101,7 +98,7 @@ where
                     break;
                 }
                 let job = &jobs[index];
-                let outcome = run_with_retry(job, max_attempts, &work);
+                let outcome = run_isolated(job, &work);
                 {
                     let mut sink = sink.lock().expect("completion sink lock");
                     meter.lock().expect("progress lock").note(&job.id, &outcome);
@@ -126,28 +123,18 @@ where
     SweepResult { outcomes, summary }
 }
 
-fn run_with_retry<I, O, F>(job: &Job<I>, max_attempts: u32, work: &F) -> JobOutcome<O>
+fn run_isolated<I, O, F>(job: &Job<I>, work: &F) -> JobOutcome<O>
 where
     F: Fn(&Job<I>) -> O,
 {
     let started = Instant::now();
-    let mut last_panic = String::new();
-    for attempt in 1..=max_attempts {
-        match catch_unwind(AssertUnwindSafe(|| work(job))) {
-            Ok(value) => {
-                return JobOutcome {
-                    attempts: attempt,
-                    wall_ms: started.elapsed().as_millis() as u64,
-                    status: JobStatus::Ok(value),
-                }
-            }
-            Err(payload) => last_panic = panic_message(payload.as_ref()),
-        }
-    }
+    let status = match catch_unwind(AssertUnwindSafe(|| work(job))) {
+        Ok(value) => JobStatus::Ok(value),
+        Err(payload) => JobStatus::Failed(panic_message(payload.as_ref())),
+    };
     JobOutcome {
-        attempts: max_attempts,
         wall_ms: started.elapsed().as_millis() as u64,
-        status: JobStatus::Failed(last_panic),
+        status,
     }
 }
 
@@ -167,10 +154,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    fn quiet(workers: usize, max_attempts: u32) -> PoolConfig {
+    fn quiet(workers: usize) -> PoolConfig {
         PoolConfig {
             workers,
-            max_attempts,
             progress: false,
         }
     }
@@ -183,7 +169,7 @@ mod tests {
     fn outcomes_preserve_input_order_across_worker_counts() {
         let js = jobs(40);
         let run = |workers| {
-            run_jobs(&js, &quiet(workers, 1), |job| job.input * 3, |_, _| {})
+            run_jobs(&js, &quiet(workers), |job| job.input * 3, |_, _| {})
                 .outcomes
                 .into_iter()
                 .map(|o| *o.ok().unwrap())
@@ -195,27 +181,25 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_is_retried_then_fails_without_aborting_the_sweep() {
+    fn panicking_job_runs_once_then_fails_without_aborting_the_sweep() {
         let js = jobs(10);
-        let attempts_on_job_3 = AtomicU32::new(0);
+        let runs_of_job_3 = AtomicU32::new(0);
         let result = run_jobs(
             &js,
-            &quiet(4, 3),
+            &quiet(4),
             |job| {
                 if job.input == 3 {
-                    attempts_on_job_3.fetch_add(1, Ordering::Relaxed);
+                    runs_of_job_3.fetch_add(1, Ordering::Relaxed);
                     panic!("injected divergence");
                 }
                 job.input
             },
             |_, _| {},
         );
-        // The poisoned job was retried to its attempt budget…
-        assert_eq!(attempts_on_job_3.load(Ordering::Relaxed), 3);
-        let bad = &result.outcomes[3];
-        assert_eq!(bad.attempts, 3);
+        // The poisoned job ran once: a deterministic job is not retried…
+        assert_eq!(runs_of_job_3.load(Ordering::Relaxed), 1);
         assert_eq!(
-            bad.status,
+            result.outcomes[3].status,
             JobStatus::Failed("injected divergence".to_string())
         );
         // …and every other job still completed.
@@ -230,33 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn flaky_job_succeeds_on_retry() {
-        let js = jobs(1);
-        let tries = AtomicU32::new(0);
-        let result = run_jobs(
-            &js,
-            &quiet(1, 2),
-            |job| {
-                if tries.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("first attempt flake");
-                }
-                job.input + 100
-            },
-            |_, _| {},
-        );
-        assert_eq!(result.outcomes[0].ok(), Some(&100));
-        assert_eq!(result.outcomes[0].attempts, 2);
-        assert_eq!(result.summary.retries, 1);
-        assert!(result.all_ok());
-    }
-
-    #[test]
     fn on_done_fires_once_per_job() {
         let js = jobs(25);
         let mut seen = Vec::new();
         run_jobs(
             &js,
-            &quiet(6, 1),
+            &quiet(6),
             |job| job.input,
             |job, _| {
                 seen.push(job.id.clone());
@@ -276,7 +239,7 @@ mod tests {
         let started = Instant::now();
         run_jobs(
             &js,
-            &quiet(8, 1),
+            &quiet(8),
             |_| std::thread::sleep(std::time::Duration::from_millis(50)),
             |_, _| {},
         );
@@ -289,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_fine() {
-        let result = run_jobs(&[] as &[Job<()>], &quiet(4, 1), |_| 0u8, |_, _| {});
+        let result = run_jobs(&[] as &[Job<()>], &quiet(4), |_| 0u8, |_, _| {});
         assert!(result.outcomes.is_empty());
         assert!(result.all_ok());
     }

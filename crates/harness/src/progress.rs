@@ -57,11 +57,8 @@ impl ProgressMeter {
         let elapsed = self.started.elapsed();
         let eta = eta_secs(self.done, self.total, elapsed);
         let verdict = match &outcome.status {
-            JobStatus::Ok(_) if outcome.attempts > 1 => {
-                format!("ok after {} attempts", outcome.attempts)
-            }
-            JobStatus::Ok(_) => "ok".to_string(),
-            JobStatus::Failed(_) => format!("FAILED after {} attempts", outcome.attempts),
+            JobStatus::Ok(_) => "ok",
+            JobStatus::Failed(_) => "FAILED",
         };
         eprintln!(
             "[harness] {}/{} ({:.0}%) elapsed {} eta {} | {} {} in {}",
@@ -84,10 +81,8 @@ pub struct SweepSummary {
     pub total: usize,
     /// Jobs that produced a value.
     pub succeeded: usize,
-    /// `(job id, panic message)` for jobs that exhausted their attempts.
+    /// `(job id, panic message)` for jobs that panicked.
     pub failed: Vec<(String, String)>,
-    /// Extra attempts beyond the first, summed over all jobs.
-    pub retries: u64,
     /// Per-job wall time statistics, in milliseconds.
     pub wall_ms: Accumulator,
     /// End-to-end sweep time.
@@ -106,11 +101,9 @@ impl SweepSummary {
     ) -> Self {
         let mut wall_ms = Accumulator::new();
         let mut failed = Vec::new();
-        let mut retries = 0u64;
         let mut timed: Vec<(String, u64)> = Vec::with_capacity(outcomes.len());
         for (id, o) in ids.zip(outcomes) {
             wall_ms.record(o.wall_ms as f64);
-            retries += u64::from(o.attempts.saturating_sub(1));
             timed.push((id.to_string(), o.wall_ms));
             if let JobStatus::Failed(msg) = &o.status {
                 failed.push((id.to_string(), msg.clone()));
@@ -122,7 +115,6 @@ impl SweepSummary {
             total: outcomes.len(),
             succeeded: outcomes.len() - failed.len(),
             failed,
-            retries,
             wall_ms,
             elapsed,
             slowest: timed,
@@ -135,11 +127,10 @@ impl SweepSummary {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "[harness] sweep done: {}/{} jobs ok, {} failed, {} retries, {} wall",
+            "[harness] sweep done: {}/{} jobs ok, {} failed, {} wall",
             self.succeeded,
             self.total,
             self.failed.len(),
-            self.retries,
             human_duration(self.elapsed),
         );
         if self.wall_ms.count() > 0 {
@@ -178,7 +169,6 @@ impl SweepSummary {
         self.total += other.total;
         self.succeeded += other.succeeded;
         self.failed.extend(other.failed.iter().cloned());
-        self.retries += other.retries;
         self.wall_ms.merge(&other.wall_ms);
         self.elapsed += other.elapsed;
         let mut slowest = std::mem::take(&mut self.slowest);
@@ -213,12 +203,10 @@ mod tests {
         use crate::pool::JobStatus;
         let outcomes = vec![
             JobOutcome {
-                attempts: 1,
                 wall_ms: 100,
                 status: JobStatus::Ok(1u8),
             },
             JobOutcome {
-                attempts: 3,
                 wall_ms: 300,
                 status: JobStatus::Failed("boom".into()),
             },
@@ -227,12 +215,10 @@ mod tests {
             SweepSummary::from_outcomes(["a", "b"].into_iter(), &outcomes, Duration::from_secs(1));
         assert_eq!(a.total, 2);
         assert_eq!(a.succeeded, 1);
-        assert_eq!(a.retries, 2);
         assert_eq!(a.slowest[0], ("b".to_string(), 300));
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.total, 4);
-        assert_eq!(a.retries, 4);
         assert_eq!(a.wall_ms.count(), 4);
         assert_eq!(a.failed.len(), 2);
         let rendered = a.render();

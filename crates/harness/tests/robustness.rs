@@ -6,7 +6,6 @@
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ccn_harness::{checkpoint, CheckpointWriter, Job, Json, PoolConfig};
 
@@ -31,7 +30,7 @@ fn zero_byte_file_is_an_empty_checkpoint_and_gets_a_meta_line() {
     // Opening a writer on it treats it as new: the meta line is written.
     {
         let mut w = CheckpointWriter::open(&path, vec![("target", Json::Str("t".into()))]).unwrap();
-        w.record_ok("a", 1, 1, Json::UInt(1)).unwrap();
+        w.record_ok("a", 1, Json::UInt(1)).unwrap();
     }
     let cp = checkpoint::load(&path).unwrap();
     let meta = cp.meta.as_ref().unwrap();
@@ -45,7 +44,7 @@ fn truncated_final_line_loses_only_itself() {
     let path = temp_path("torn.jsonl");
     {
         let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-        w.record_ok("kept", 1, 1, Json::UInt(7)).unwrap();
+        w.record_ok("kept", 1, Json::UInt(7)).unwrap();
     }
     // Crash mid-append: a record torn without its trailing newline.
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -64,7 +63,7 @@ fn resume_after_a_torn_line_does_not_corrupt_the_next_record() {
     let path = temp_path("torn-resume.jsonl");
     {
         let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-        w.record_ok("old", 1, 1, Json::UInt(1)).unwrap();
+        w.record_ok("old", 1, Json::UInt(1)).unwrap();
     }
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
     f.write_all(b"{\"kind\":\"job\",\"id\":\"to").unwrap();
@@ -74,7 +73,7 @@ fn resume_after_a_torn_line_does_not_corrupt_the_next_record() {
     // would merge into it and be lost on the following load.
     {
         let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-        w.record_ok("new", 1, 1, Json::UInt(2)).unwrap();
+        w.record_ok("new", 1, Json::UInt(2)).unwrap();
     }
     let cp = checkpoint::load(&path).unwrap();
     assert!(cp.completed("old").is_some());
@@ -90,7 +89,7 @@ fn garbage_lines_are_skipped_without_poisoning_neighbors() {
     let path = temp_path("garbage.jsonl");
     {
         let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-        w.record_ok("before", 1, 1, Json::Null).unwrap();
+        w.record_ok("before", 1, Json::Null).unwrap();
     }
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
     f.write_all(b"not json at all\n{\"kind\":\"job\"\n\n")
@@ -98,7 +97,7 @@ fn garbage_lines_are_skipped_without_poisoning_neighbors() {
     drop(f);
     {
         let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-        w.record_ok("after", 1, 1, Json::Null).unwrap();
+        w.record_ok("after", 1, Json::Null).unwrap();
     }
     let cp = checkpoint::load(&path).unwrap();
     assert!(cp.completed("before").is_some());
@@ -112,10 +111,10 @@ fn duplicate_job_ids_resolve_to_the_latest_line() {
     let path = temp_path("dup.jsonl");
     {
         let mut w = CheckpointWriter::open(&path, vec![]).unwrap();
-        w.record_ok("j", 1, 1, Json::UInt(1)).unwrap();
-        w.record_failed("j", 2, 1, "flaked").unwrap();
-        w.record_ok("j", 1, 1, Json::UInt(3)).unwrap();
-        w.record_ok("other", 1, 1, Json::UInt(9)).unwrap();
+        w.record_ok("j", 1, Json::UInt(1)).unwrap();
+        w.record_failed("j", 1, "flaked").unwrap();
+        w.record_ok("j", 1, Json::UInt(3)).unwrap();
+        w.record_ok("other", 1, Json::UInt(9)).unwrap();
     }
     let cp = checkpoint::load(&path).unwrap();
     // Latest line wins: the final ok with payload 3, not the first ok and
@@ -127,22 +126,16 @@ fn duplicate_job_ids_resolve_to_the_latest_line() {
 }
 
 #[test]
-fn pool_isolates_panics_and_retries_within_budget() {
-    let attempts = AtomicUsize::new(0);
+fn pool_isolates_panics_and_keeps_input_order() {
     let jobs: Vec<Job<u32>> = (0..6).map(|i| Job::new(format!("job/{i}"), i)).collect();
     let cfg = PoolConfig {
         workers: 3,
-        max_attempts: 2,
         progress: false,
     };
     let result = ccn_harness::run_jobs(
         &jobs,
         &cfg,
         |job| {
-            // Job 2 panics on its first attempt only; job 4 always panics.
-            if job.input == 2 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
             if job.input == 4 {
                 panic!("permanent");
             }
@@ -154,8 +147,7 @@ fn pool_isolates_panics_and_retries_within_budget() {
     // Outcomes come back in input order no matter the interleaving.
     for (i, outcome) in result.outcomes.iter().enumerate() {
         if i == 4 {
-            assert!(outcome.ok().is_none(), "job 4 must exhaust its budget");
-            assert_eq!(outcome.attempts, 2);
+            assert!(outcome.ok().is_none(), "job 4 must fail");
         } else {
             assert_eq!(outcome.ok(), Some(&(i as u32 * 10)), "job {i}");
         }

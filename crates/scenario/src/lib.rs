@@ -20,11 +20,12 @@
 //!   byte-for-byte ([`trace::TraceReplay`]), reproducing the original
 //!   run's `SimReport` exactly.
 //!
-//! The [`sweep`] module routes scenarios through the `ccn-harness` worker
-//! pool and the cross-architecture conformance digest envelope: a scenario
-//! runs on all four architectures and the timing-independent functional
-//! outcome must agree bit-for-bit (the scenario appends the same scrub
-//! epilogue the `ccn-verify` conformance suite uses).
+//! The [`sweep`] module holds the workspace's one conformance path,
+//! [`run_agreement`]: applications run through the `ccn-harness` worker
+//! pool on all four architectures and the timing-independent functional
+//! outcome must agree bit-for-bit. Scenarios take it with the scrub
+//! epilogue on (the default), and the `ccn-verify` differential cases
+//! call it with their randomized workloads.
 //!
 //! The `repro scenario run|record|replay|list|check` CLI in `ccn-bench`
 //! drives all of this; `docs/SCENARIOS.md` documents the spec format, the
@@ -44,8 +45,8 @@ pub use phase::{PhaseKind, NODE_SETS, PHASE_KINDS};
 pub use scenario::Scenario;
 pub use spec::{NodeSet, PhaseSpec, ScenarioSpec, SpecError};
 pub use sweep::{
-    run_checked, run_scenario_case, run_scenario_conformance, scenario_config, shape_of,
-    ScenarioRecord, SCENARIO_EVENT_LIMIT, SCENARIO_L2_BYTES,
+    run_agreement, run_checked, run_scenario_conformance, scenario_config, shape_of,
+    ConformanceRecord, SCENARIO_EVENT_LIMIT, SCENARIO_L2_BYTES,
 };
 pub use trace::{record, record_with_limit, Trace, TraceError, TraceReplay};
 pub use zipf::Zipf;

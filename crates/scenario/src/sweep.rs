@@ -1,19 +1,20 @@
-//! Scenario sweeps: harness integration and the conformance envelope.
+//! Conformance sweeps: harness integration and the digest envelope.
 //!
-//! A scenario is one more independent job to the `ccn-harness` machinery:
-//! [`run_scenario_conformance`] fans a spec out across all four controller
-//! architectures through an ordinary [`Runner`] — worker pool, panic
-//! isolation, JSON-lines checkpoints, optional metrics sidecars — and then
-//! asserts the digest envelope: every architecture must produce a
-//! bit-identical [`FunctionalSnapshot`] (the architectures differ in
-//! *when* protocol work happens, never in *what* it computes; the spec's
-//! scrub epilogue makes the end state timing-independent).
+//! The four controller architectures differ in *when* protocol work
+//! happens, never in *what* it computes. [`run_agreement`] is the one
+//! conformance path of the workspace: it fans applications out across
+//! every architecture through an ordinary [`Runner`] — worker pool, panic
+//! isolation, JSON-lines checkpoints, optional metrics sidecars — and
+//! then asserts the digest envelope: per application, every architecture
+//! must produce a bit-identical [`FunctionalSnapshot`] (the applications
+//! end in the scrub epilogue, which makes the end state
+//! timing-independent). Scenario sweeps ([`run_scenario_conformance`])
+//! and the `ccn-verify` differential cases both call it.
 
 use std::path::Path;
 
 use ccn_harness::Json;
 use ccn_workloads::{Application, MachineShape};
-use ccnuma::experiments::Options;
 use ccnuma::{
     Architecture, FunctionalSnapshot, Machine, Runner, SimReport, SweepRecord, SystemConfig,
 };
@@ -21,15 +22,16 @@ use ccnuma::{
 use crate::scenario::Scenario;
 use crate::spec::ScenarioSpec;
 
-/// L2 override for scenario runs — the conformance setting: small enough
-/// that the scrub flush is cheap and capacity evictions race mid-run.
+/// L2 override for conformance runs: small enough that the scrub flush
+/// is cheap and capacity evictions race mid-run.
 pub const SCENARIO_L2_BYTES: u64 = 32 * 1024;
 
-/// Event-count watchdog per run (converts a livelock into a job failure
-/// the pool can isolate instead of a hang).
+/// Event-count watchdog per conformance run (converts a livelock into a
+/// job failure the pool can isolate instead of a hang). It counts popped
+/// queue events, see [`Machine::run_with_event_limit`].
 pub const SCENARIO_EVENT_LIMIT: u64 = 120_000_000;
 
-/// The machine configuration scenario runs use.
+/// The machine configuration conformance runs use.
 pub fn scenario_config(arch: Architecture, nodes: usize, procs_per_node: usize) -> SystemConfig {
     SystemConfig::base()
         .with_nodes(nodes)
@@ -48,14 +50,14 @@ pub fn shape_of(cfg: &SystemConfig) -> MachineShape {
     }
 }
 
-/// The outcome of one (scenario, architecture) run, reduced to a
+/// The outcome of one (application, architecture) run, reduced to a
 /// checkpointable record. `digest`/`versions`/`memory`/`directory`
 /// describe the functional snapshot and must agree across architectures;
 /// the timing fields are architecture-dependent context.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioRecord {
-    /// Scenario name.
-    pub scenario: String,
+pub struct ConformanceRecord {
+    /// The application's name ([`Application::name`]).
+    pub app: String,
     /// Architecture label (HWC/PPC/2HWC/2PPC).
     pub architecture: String,
     /// [`FunctionalSnapshot::digest`] of the end state.
@@ -74,16 +76,12 @@ pub struct ScenarioRecord {
     pub cc_arrivals: u64,
 }
 
-impl ScenarioRecord {
-    fn new(
-        scenario: &Scenario,
-        arch: Architecture,
-        report: &SimReport,
-        snap: &FunctionalSnapshot,
-    ) -> Self {
-        ScenarioRecord {
-            scenario: scenario.spec.name.clone(),
-            architecture: arch.name().to_string(),
+impl ConformanceRecord {
+    /// Reduces a run's report and end-state snapshot to the record.
+    pub fn new(report: &SimReport, snap: &FunctionalSnapshot) -> Self {
+        ConformanceRecord {
+            app: report.workload.clone(),
+            architecture: report.architecture.clone(),
             digest: snap.digest(),
             versions: snap.versions.len() as u64,
             memory: snap.memory.len() as u64,
@@ -95,10 +93,10 @@ impl ScenarioRecord {
     }
 }
 
-impl SweepRecord for ScenarioRecord {
+impl SweepRecord for ConformanceRecord {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("scenario", Json::Str(self.scenario.clone())),
+            ("app", Json::Str(self.app.clone())),
             ("architecture", Json::Str(self.architecture.clone())),
             ("digest", Json::UInt(self.digest)),
             ("versions", Json::UInt(self.versions)),
@@ -111,8 +109,8 @@ impl SweepRecord for ScenarioRecord {
     }
 
     fn from_json(v: &Json) -> Option<Self> {
-        Some(ScenarioRecord {
-            scenario: v.get("scenario")?.as_str()?.to_string(),
+        Some(ConformanceRecord {
+            app: v.get("app")?.as_str()?.to_string(),
             architecture: v.get("architecture")?.as_str()?.to_string(),
             digest: v.get("digest")?.as_u64()?,
             versions: v.get("versions")?.as_u64()?,
@@ -123,25 +121,6 @@ impl SweepRecord for ScenarioRecord {
             cc_arrivals: v.get("cc_arrivals")?.as_u64()?,
         })
     }
-}
-
-/// The stable job id of one (scenario, architecture) cell. Embeds the
-/// spec's content hash so an edited spec never replays a stale
-/// checkpoint line.
-pub fn scenario_job_id(
-    spec: &ScenarioSpec,
-    nodes: usize,
-    procs_per_node: usize,
-    arch: Architecture,
-) -> String {
-    format!(
-        "scenario/{}@{:016x}/{}x{}/{}",
-        spec.name,
-        spec.content_hash(),
-        nodes,
-        procs_per_node,
-        arch.name()
-    )
 }
 
 /// Runs `app` on `cfg` under the [`SCENARIO_EVENT_LIMIT`] watchdog,
@@ -165,38 +144,93 @@ pub fn run_checked(app: &dyn Application, cfg: SystemConfig) -> (SimReport, Func
     (report, machine.functional_snapshot())
 }
 
-/// Runs one (scenario, architecture) pair and returns the record plus
-/// the full snapshot (for diffing on mismatch).
-///
-/// # Panics
-///
-/// As [`run_checked`].
-pub fn run_scenario_case(
-    scenario: &Scenario,
-    arch: Architecture,
-    nodes: usize,
-    procs_per_node: usize,
-) -> (ScenarioRecord, FunctionalSnapshot) {
-    let (report, snap) = run_checked(scenario, scenario_config(arch, nodes, procs_per_node));
-    (ScenarioRecord::new(scenario, arch, &report, &snap), snap)
+/// The job id of one (application, architecture) cell.
+fn job_id(prefix: &str, arch: Architecture) -> String {
+    format!("{prefix}/{}", arch.name())
 }
 
-/// Runs `spec` across all four architectures on `runner` and checks the
-/// digest envelope. With `metrics_dir` set, every simulated job writes a
-/// latency-histogram sidecar named after its job id (deterministic, so
-/// byte-identical regardless of worker count).
+/// Runs every `(job-id prefix, application)` pair on each of
+/// [`Architecture::all`] through [`Runner::run_keyed`], on the
+/// `nodes`x`procs_per_node` [`scenario_config`] machine, and checks that
+/// every architecture reaches the same functional snapshot. A cell's job
+/// id is `{prefix}/{architecture}`. With `metrics_dir` set, every
+/// simulated job writes a latency-histogram sidecar named after its job
+/// id (deterministic, so byte-identical regardless of worker count).
 ///
-/// Returns the per-architecture records in [`Architecture::all`] order;
-/// on a digest mismatch, re-runs the two disagreeing configurations and
-/// returns the first field-level snapshot difference.
+/// Returns the records application by application, each in
+/// [`Architecture::all`] order. On a digest mismatch, re-runs the two
+/// disagreeing configurations and returns the first field-level snapshot
+/// difference.
+pub fn run_agreement<A: Application + Sync>(
+    runner: &Runner,
+    apps: &[(String, A)],
+    (nodes, procs_per_node): (usize, usize),
+    metrics_dir: Option<&Path>,
+) -> Result<Vec<ConformanceRecord>, String> {
+    let archs = Architecture::all();
+    let run = |app: &A, arch| run_checked(app, scenario_config(arch, nodes, procs_per_node));
+    let jobs: Vec<(String, (&str, &A, Architecture))> = apps
+        .iter()
+        .flat_map(|(prefix, app)| {
+            archs
+                .iter()
+                .map(move |&arch| (job_id(prefix, arch), (prefix.as_str(), app, arch)))
+        })
+        .collect();
+    let records = runner.run_keyed(jobs, |&(prefix, app, arch)| {
+        let (report, snap) = run(app, arch);
+        if let Some(dir) = metrics_dir {
+            let id = job_id(prefix, arch);
+            let payload = ccnuma::observe::report_metrics(&report);
+            ccn_obs::write_sidecar(dir, &id, &payload)
+                .unwrap_or_else(|e| panic!("writing metrics sidecar for {id}: {e}"));
+        }
+        ConformanceRecord::new(&report, &snap)
+    });
+    for (chunk, (_, app)) in records.chunks(archs.len()).zip(apps) {
+        let base = &chunk[0];
+        let mismatch = chunk
+            .iter()
+            .zip(archs)
+            .find(|(r, _)| r.digest != base.digest);
+        if let Some((rec, arch)) = mismatch {
+            let detail = run(app, archs[0])
+                .1
+                .diff(&run(app, arch).1)
+                .unwrap_or_else(|| "digest mismatch but snapshots diff clean".to_string());
+            return Err(format!(
+                "{}: {} and {} disagree on the functional outcome: {detail}",
+                base.app, base.architecture, rec.architecture
+            ));
+        }
+    }
+    Ok(records)
+}
+
+/// The job-id prefix of a scenario sweep. Embeds the spec's content hash
+/// so an edited spec never replays a stale checkpoint line.
+fn scenario_job_prefix(spec: &ScenarioSpec, nodes: usize, procs_per_node: usize) -> String {
+    format!(
+        "scenario/{}@{:016x}/{}x{}",
+        spec.name,
+        spec.content_hash(),
+        nodes,
+        procs_per_node
+    )
+}
+
+/// Runs `spec` through [`run_agreement`] on the runner's machine size.
+///
+/// Returns the per-architecture records in [`Architecture::all`] order,
+/// or an error when the spec does not fit the machine or the
+/// architectures disagree.
 pub fn run_scenario_conformance(
     runner: &Runner,
     spec: &ScenarioSpec,
     metrics_dir: Option<&Path>,
-) -> Result<Vec<ScenarioRecord>, String> {
-    let opts: Options = runner.options();
+) -> Result<Vec<ConformanceRecord>, String> {
+    let opts = runner.options();
     let (nodes, ppn) = (opts.nodes, opts.procs_per_node);
-    let scenario = Scenario::new(spec.clone());
     spec.check_shape(&shape_of(&scenario_config(Architecture::Hwc, nodes, ppn)))
         .map_err(|e| {
             format!(
@@ -204,45 +238,17 @@ pub fn run_scenario_conformance(
                 spec.name
             )
         })?;
-    let jobs: Vec<(String, Architecture)> = Architecture::all()
-        .iter()
-        .map(|&arch| (scenario_job_id(spec, nodes, ppn, arch), arch))
-        .collect();
-    let metrics_dir = metrics_dir.map(Path::to_path_buf);
-    let records: Vec<ScenarioRecord> = runner.run_keyed(jobs, |&arch| {
-        let (report, snap) = run_checked(&scenario, scenario_config(arch, nodes, ppn));
-        if let Some(dir) = &metrics_dir {
-            let id = scenario_job_id(&scenario.spec, nodes, ppn, arch);
-            let payload = ccnuma::observe::report_metrics(&report);
-            ccn_obs::write_sidecar(dir, &id, &payload)
-                .unwrap_or_else(|e| panic!("writing metrics sidecar for {id}: {e}"));
-        }
-        ScenarioRecord::new(&scenario, arch, &report, &snap)
-    });
-    let base = &records[0];
-    for rec in &records[1..] {
-        if rec.digest != base.digest {
-            let (_, a) = run_scenario_case(&scenario, Architecture::all()[0], nodes, ppn);
-            let bad = Architecture::all()
-                .into_iter()
-                .find(|ar| ar.name() == rec.architecture)
-                .expect("known architecture");
-            let (_, b) = run_scenario_case(&scenario, bad, nodes, ppn);
-            let detail = a
-                .diff(&b)
-                .unwrap_or_else(|| "digest mismatch but snapshots diff clean".to_string());
-            return Err(format!(
-                "scenario '{}': {} and {} disagree on the functional outcome: {detail}",
-                spec.name, base.architecture, rec.architecture
-            ));
-        }
-    }
-    Ok(records)
+    let apps = [(
+        scenario_job_prefix(spec, nodes, ppn),
+        Scenario::new(spec.clone()),
+    )];
+    run_agreement(runner, &apps, (nodes, ppn), metrics_dir)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccnuma::experiments::Options;
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::parse_str(
@@ -256,8 +262,8 @@ mod tests {
 
     #[test]
     fn record_round_trips_through_json() {
-        let rec = ScenarioRecord {
-            scenario: "s".into(),
+        let rec = ConformanceRecord {
+            app: "s".into(),
             architecture: "2PPC".into(),
             digest: 0xFEED_F00D,
             versions: 3,
@@ -267,20 +273,24 @@ mod tests {
             instructions: 1234,
             cc_arrivals: 55,
         };
-        let back = <ScenarioRecord as SweepRecord>::from_json(&SweepRecord::to_json(&rec)).unwrap();
+        let back =
+            <ConformanceRecord as SweepRecord>::from_json(&SweepRecord::to_json(&rec)).unwrap();
         assert_eq!(back, rec);
-        assert!(<ScenarioRecord as SweepRecord>::from_json(&Json::Null).is_none());
+        assert!(<ConformanceRecord as SweepRecord>::from_json(&Json::Null).is_none());
     }
 
     #[test]
     fn job_ids_track_spec_content() {
         let spec = tiny_spec();
-        let id = scenario_job_id(&spec, 4, 2, Architecture::Hwc);
+        let id = job_id(&scenario_job_prefix(&spec, 4, 2), Architecture::Hwc);
         assert!(id.starts_with("scenario/sweeptest@"), "{id}");
         assert!(id.ends_with("/4x2/HWC"), "{id}");
         let mut edited = spec.clone();
         edited.seed += 1;
-        assert_ne!(id, scenario_job_id(&edited, 4, 2, Architecture::Hwc));
+        assert_ne!(
+            id,
+            job_id(&scenario_job_prefix(&edited, 4, 2), Architecture::Hwc)
+        );
     }
 
     #[test]

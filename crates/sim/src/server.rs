@@ -93,17 +93,6 @@ impl Server {
         &self.queue_delay_hist
     }
 
-    /// Utilization over an observation window of `elapsed` cycles.
-    ///
-    /// Returns 0 when `elapsed` is zero.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.busy as f64 / elapsed as f64
-        }
-    }
-
     /// The diagnostic name given at construction.
     pub fn name(&self) -> &'static str {
         self.name
@@ -149,15 +138,6 @@ mod tests {
         s.acquire(0, 10); // delay 10
         s.acquire(0, 10); // delay 20
         assert_eq!(s.mean_queue_delay(), 10.0);
-    }
-
-    #[test]
-    fn utilization_window() {
-        let mut s = Server::new("t");
-        s.acquire(0, 25);
-        s.acquire(50, 25);
-        assert!((s.utilization(100) - 0.5).abs() < 1e-12);
-        assert_eq!(s.utilization(0), 0.0);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! 2. **Differential conformance** ([`differential`]): identical
 //!    randomized workloads run through the full timed simulator on all
 //!    four controller architectures (HWC, PPC, 2HWC, 2PPC) must produce
-//!    bit-identical functional outcomes.
+//!    bit-identical functional outcomes. The module owns the workloads;
+//!    they run through `ccn-scenario`'s conformance sweep
+//!    ([`ccn_scenario::run_agreement`]), the one the scenario DSL uses.
 //!
 //! The `repro verify` target in `ccn-bench` drives both; the root
 //! `tests/verify_bounded.rs` and `tests/conformance.rs` suites pin them
@@ -32,10 +34,7 @@ pub mod explore;
 pub mod model;
 pub mod shrink;
 
-pub use differential::{
-    conformance_cases, run_case, run_case_with_format, run_conformance, ConfApp, ConfCase,
-    ConfRecord, ARCHS,
-};
+pub use differential::{conformance_cases, run_case, run_conformance, ConfApp, ConfCase};
 pub use explore::{explore, Bounds, Report, Step, Violation};
 pub use model::{CopyState, Label, ModelConfig, ModelState, Mutation, Ordering};
 pub use shrink::{minimize, replay, shrink_trace};

@@ -5,7 +5,10 @@
 //! same functional outcome on every controller architecture, (b) sweep
 //! byte-identically regardless of worker count, and (c) survive a
 //! record/replay round trip through the binary trace format with an
-//! identical report and snapshot.
+//! identical report and snapshot. Without its scrub epilogue the same
+//! spec must make the agreement check fail with a field-level
+//! difference, and the event watchdog the sweep runs under must count
+//! queue events, so a run fits a budget of its own event count.
 
 use std::fs;
 use std::path::Path;
@@ -15,7 +18,7 @@ use ccnuma_repro::ccn_scenario::{
     ScenarioSpec, Trace, TraceReplay,
 };
 use ccnuma_repro::ccnuma::experiments::Options;
-use ccnuma_repro::ccnuma::{Architecture, RunRecord, Runner};
+use ccnuma_repro::ccnuma::{Architecture, Machine, RunRecord, Runner};
 
 fn example(file: &str) -> ScenarioSpec {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -75,6 +78,57 @@ fn example_spec_agrees_across_all_architectures() {
         );
         assert!(rec.versions > 0, "{} never wrote", rec.architecture);
     }
+}
+
+#[test]
+fn unscrubbed_spec_fails_the_agreement_check_with_a_field_level_difference() {
+    let mut spec = example("smoke.json");
+    spec.scrub = false;
+    let err = run_scenario_conformance(&Runner::sequential(Options::quick()), &spec, None)
+        .expect_err("without the scrub the end state depends on timing");
+    assert!(err.contains("disagree on the functional outcome"), "{err}");
+    let named = Architecture::all()
+        .iter()
+        .filter(|a| err.contains(&format!(" {} ", a.name())))
+        .count();
+    assert_eq!(named, 2, "two architectures: {err}");
+    assert!(
+        ["write versions: ", "home memory: ", "directory: "]
+            .iter()
+            .any(|field| err.contains(field)),
+        "no field-level difference: {err}"
+    );
+    assert!(!err.contains("diff clean"), "{err}");
+}
+
+/// The smoke spec's machine, built fresh.
+fn smoke_machine(scenario: &Scenario) -> Machine {
+    Machine::new(scenario_config(Architecture::Ppc, 4, 2), scenario).expect("valid config")
+}
+
+#[test]
+fn a_run_completes_under_a_budget_of_its_own_event_count() {
+    // Merged controller wake-ups carry many dispatch attempts in one
+    // queue event; the watchdog counts the event, not the attempts.
+    let scenario = Scenario::new(example("smoke.json"));
+    let mut unlimited = smoke_machine(&scenario);
+    let report = unlimited.run();
+    let events = unlimited.events_scheduled();
+    let bounded = smoke_machine(&scenario).run_with_event_limit(events);
+    assert_eq!(
+        RunRecord::from_report(&bounded),
+        RunRecord::from_report(&report)
+    );
+}
+
+#[test]
+#[should_panic(expected = "event budget exhausted")]
+fn a_budget_below_the_event_count_trips_the_watchdog() {
+    let scenario = Scenario::new(example("smoke.json"));
+    let mut unlimited = smoke_machine(&scenario);
+    unlimited.run();
+    let events = unlimited.events_scheduled();
+    smoke_machine(&scenario).run_with_event_limit(events - 1);
 }
 
 #[test]

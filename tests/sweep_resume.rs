@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ccnuma_repro::ccn_verify::ConfRecord;
+use ccnuma_repro::ccn_scenario::ConformanceRecord;
 use ccnuma_repro::ccnuma::experiments::Options;
 use ccnuma_repro::ccnuma::Runner;
 
@@ -22,15 +22,17 @@ fn temp_checkpoint(name: &str) -> PathBuf {
 
 /// A cheap record with a distinguishable payload (any `SweepRecord` works;
 /// the conformance record is convenient and round-trips losslessly).
-fn record(id: u64) -> ConfRecord {
-    ConfRecord {
-        case: id,
+fn record(id: u64) -> ConformanceRecord {
+    ConformanceRecord {
+        app: format!("app{id}"),
         architecture: "HWC".to_string(),
         digest: id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         versions: 1,
         memory: 1,
         directory: 0,
         exec_cycles: 100 + id,
+        instructions: 1000 + id,
+        cc_arrivals: 10 + id,
     }
 }
 
@@ -100,7 +102,11 @@ fn partial_checkpoints_resume_only_the_missing_jobs() {
         "exactly the three new jobs should have run"
     );
     for (i, rec) in records.iter().enumerate() {
-        assert_eq!(rec.case, i as u64, "records must come back in key order");
+        assert_eq!(
+            *rec,
+            record(i as u64),
+            "records must come back in key order"
+        );
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -118,6 +124,6 @@ fn duplicate_ids_execute_once() {
     });
     assert_eq!(executions.load(Ordering::SeqCst), 3, "3 distinct ids");
     // Results still come back per requested key, in request order.
-    let cases: Vec<u64> = records.iter().map(|r| r.case).collect();
-    assert_eq!(cases, vec![3, 1, 3, 2, 1, 3]);
+    let want: Vec<ConformanceRecord> = [3, 1, 3, 2, 1, 3].map(record).into();
+    assert_eq!(records, want);
 }

@@ -17,8 +17,9 @@
 //!   on all four architectures at the quick scale, plus twins of the
 //!   host-time benchmark's slow-network and key-value machines, the
 //!   1024-node machine of the scaling study, a 128-node key-value
-//!   run whose handlers fan out past 64 nodes, and quick Ocean under a
-//!   limited-pointer and a coarse-region directory;
+//!   run whose handlers fan out past 64 nodes, quick Ocean under a
+//!   limited-pointer and a coarse-region directory, and key-value runs
+//!   one node past one and two full-map presence words;
 //! * the statistics tree `Machine::component_stats()` renders after quick
 //!   Ocean on the two-engine PPC machine: every counter and gauge that
 //!   `repro stats`, the sampler's timelines and the Chrome trace's counter
@@ -157,8 +158,9 @@ fn conformance_digests() -> String {
 /// twin of the key-value benchmark mix, the largest machine (tiny Ocean
 /// on 1024x4 HWC), the key-value mix on 128x1 HWC with four-pointer
 /// limited directories, whose overflowed lines broadcast invalidations
-/// to up to 127 nodes from one handler, and quick Ocean on 4x2 HWC under
-/// `limited:1` and `coarse:2`.
+/// to up to 127 nodes from one handler, quick Ocean on 4x2 HWC under
+/// `limited:1` and `coarse:2`, and the key-value mix on 65x1 and 129x1
+/// HWC, whose full-map sharer records need two and three presence words.
 fn contended_timing() -> String {
     let mut out = String::new();
     let mut run = |name: &str, cfg: SystemConfig, app: &dyn Application| {
@@ -242,6 +244,14 @@ fn contended_timing() -> String {
                 ConfigMods::default(),
             ),
             ocean.as_ref(),
+        );
+    }
+    // Full-map records one node past one and two presence words.
+    for nodes in [65, 129] {
+        run(
+            &format!("kv-mix-0-{nodes}x1"),
+            scenario_config(Architecture::Hwc, nodes, 1),
+            &Scenario::new(kv_mix_spec()),
         );
     }
     out

@@ -129,14 +129,16 @@ pub struct SegmentProgram {
 impl SegmentProgram {
     /// Wraps a segment list into a resumable op stream.
     pub fn new(segments: Vec<Segment>) -> Self {
-        SegmentProgram {
+        let mut program = SegmentProgram {
             segments,
             seg: 0,
             elem: 0,
             phase: Phase::First,
             rng: SplitMix64::new(0),
             current_addr: 0,
-        }
+        };
+        program.seed_walk();
+        program
     }
 
     /// Number of segments in the program.
@@ -148,6 +150,12 @@ impl SegmentProgram {
         self.seg += 1;
         self.elem = 0;
         self.phase = Phase::First;
+        self.seed_walk();
+    }
+
+    /// Starts a random walk's address stream from its own seed when the
+    /// current segment is one.
+    fn seed_walk(&mut self) {
         if let Some(Segment::RandomWalk { seed, .. }) = self.segments.get(self.seg) {
             self.rng = SplitMix64::new(*seed);
         }
@@ -398,6 +406,24 @@ mod tests {
             assert!((4096..4096 + 1024).contains(addr));
             assert_eq!(addr % 8, 0);
         }
+    }
+
+    #[test]
+    fn a_leading_random_walk_follows_its_seed() {
+        let walk = |seed| Segment::RandomWalk {
+            base: 0,
+            bytes: 1 << 16,
+            count: 32,
+            stride: 8,
+            access: Access::Read,
+            work: 0,
+            seed,
+        };
+        let leading = drain(SegmentProgram::new(vec![walk(9)]));
+        // Behind a segment that emits nothing, the same walk.
+        let behind = drain(SegmentProgram::new(vec![Segment::Compute(0), walk(9)]));
+        assert_eq!(leading, behind);
+        assert_ne!(leading, drain(SegmentProgram::new(vec![walk(12345)])));
     }
 
     #[test]

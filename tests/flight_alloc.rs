@@ -18,7 +18,10 @@
 //! directories holds the handler scratch to zero as well: its
 //! overflowed lines broadcast invalidations to up to 127 nodes from one
 //! handler, and `Machine::new` sizes the step and send-time buffers for
-//! that fan-out.
+//! that fan-out. On 256x1 HWC with full-map directories, each Shared
+//! line's four-word sharer record takes a slot its directory reuses
+//! once the line leaves Shared, so recycling records allocates nothing
+//! either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -97,6 +100,7 @@ fn recorder_on_measured_phase_allocates_a_bounded_number_of_times() {
             scenario_config(Architecture::Hwc, 128, 1)
                 .with_dir_format(DirFormat::Limited { ptrs: 4 }),
         ),
+        ("256x1 HWC", scenario_config(Architecture::Hwc, 256, 1)),
     ];
     for (name, cfg) in machines {
         let mut machine = Machine::new(cfg, &Scenario::new(kv_mix_spec())).expect("valid config");

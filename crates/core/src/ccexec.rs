@@ -294,11 +294,7 @@ impl Machine {
         } else {
             None
         };
-        let pres = self.nodes[n]
-            .presence
-            .get(line)
-            .copied()
-            .unwrap_or_default();
+        let pres = self.presence(n, line);
         let has_other_local = match except {
             Some(slot) => pres.other_than(slot),
             None => pres.any(),
@@ -451,11 +447,7 @@ impl Machine {
     /// A forwarded request arrives at the (believed) dirty owner.
     fn handle_forward(&mut self, n: usize, msg: Msg, now: Cycle) -> Cycle {
         let line = msg.line;
-        let pres = self.nodes[n]
-            .presence
-            .get(line)
-            .copied()
-            .unwrap_or_default();
+        let pres = self.presence(n, line);
         if !pres.any() {
             // Our write-back is in flight; tell the home.
             let run = self.run_spec(n, HandlerKind::OwnerFwdMissReply, Fanout::NONE, line, now);
@@ -504,7 +496,7 @@ impl Machine {
 
     fn handle_inv_req(&mut self, n: usize, msg: Msg, now: Cycle) -> Cycle {
         let run = self.run_spec(n, HandlerKind::InvReqAtSharer, Fanout::NONE, msg.line, now);
-        if !self.nodes[n].presence.contains_key(msg.line) {
+        if !self.presence(n, msg.line).any() {
             // A stale directory bit: the copy was silently dropped. Under
             // an inexact format this also counts the invalidations sent
             // to nodes that never held the line at all.
@@ -627,11 +619,7 @@ impl Machine {
             .mshr
             .get(msg.line)
             .map(|m| self.procs[m.initiator].slot);
-        let pres = self.nodes[n]
-            .presence
-            .get(msg.line)
-            .copied()
-            .unwrap_or_default();
+        let pres = self.presence(n, msg.line);
         let local_inv = match initiator_slot {
             Some(slot) => pres.other_than(slot),
             None => pres.any(),
@@ -660,11 +648,7 @@ impl Machine {
             .mshr
             .get(msg.line)
             .map(|m| self.procs[m.initiator].slot);
-        let pres = self.nodes[n]
-            .presence
-            .get(msg.line)
-            .copied()
-            .unwrap_or_default();
+        let pres = self.presence(n, msg.line);
         let local_inv = match initiator_slot {
             Some(slot) => pres.other_than(slot),
             None => pres.any(),
@@ -712,7 +696,6 @@ impl Machine {
             mshr.has_data = true;
             mshr.payload = payload;
             mshr.data_time = at;
-            mshr.exclusive = true;
             mshr.needs_inv_done = needs_inv_done;
             if needs_inv_done && !mshr.inv_done_received {
                 // Wait for the InvDone notice (it may arrive on a

@@ -110,7 +110,6 @@ pub struct SmpBus {
     config: BusConfig,
     address: Server,
     data: Server,
-    transactions: u64,
 }
 
 impl SmpBus {
@@ -120,7 +119,6 @@ impl SmpBus {
             config,
             address: Server::new("smp address bus"),
             data: Server::new("smp data bus"),
-            transactions: 0,
         }
     }
 
@@ -131,7 +129,6 @@ impl SmpBus {
 
     /// Arbitrates for an address slot at `time`; returns the strobe cycle.
     pub fn address_phase(&mut self, time: Cycle) -> Cycle {
-        self.transactions += 1;
         self.address.acquire(time, self.config.address_slot_cycles)
     }
 
@@ -154,9 +151,9 @@ impl SmpBus {
         }
     }
 
-    /// Total address phases arbitrated.
+    /// Total address phases arbitrated (the address bus's acquisitions).
     pub fn transactions(&self) -> u64 {
-        self.transactions
+        self.address.requests()
     }
 
     /// Mean address-arbitration queueing delay in cycles.
@@ -167,7 +164,7 @@ impl SmpBus {
     /// A snapshot of the bus's statistics, address and data buses nested.
     pub fn stats_snapshot(&self) -> ComponentStats {
         ComponentStats::named("bus")
-            .counter("transactions", self.transactions)
+            .counter("transactions", self.transactions())
             .gauge("mean_address_delay", self.mean_address_delay())
             .child(self.address.stats_snapshot())
             .child(self.data.stats_snapshot())
@@ -177,7 +174,6 @@ impl SmpBus {
     pub fn reset_stats(&mut self) {
         self.address.reset_stats();
         self.data.reset_stats();
-        self.transactions = 0;
     }
 }
 

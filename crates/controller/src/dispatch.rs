@@ -48,8 +48,6 @@ struct Engine<R> {
 /// Occupancy and queueing statistics of one protocol engine.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
-    /// Requests that arrived at this engine's queues.
-    pub arrivals: u64,
     /// Handlers executed.
     pub handled: u64,
     /// Total cycles the engine was occupied by handlers.
@@ -63,6 +61,13 @@ pub struct EngineStats {
     /// Inter-arrival times in cycles (burstiness: the paper attributes
     /// FFT's outsized queueing delay to its bursty arrival process).
     pub interarrival: Accumulator,
+}
+
+impl EngineStats {
+    /// Requests that arrived at this engine's queues, of every class.
+    pub fn arrivals(&self) -> u64 {
+        self.class_arrivals.iter().sum()
+    }
 }
 
 /// Aggregate controller statistics (all engines combined), as used for the
@@ -154,7 +159,6 @@ impl<R> CoherenceController<R> {
     pub fn enqueue(&mut self, role: EngineRole, line: u64, class: MsgClass, time: Cycle, req: R) {
         let idx = self.engine_for(role, line);
         let engine = &mut self.engines[idx];
-        engine.stats.arrivals += 1;
         engine.stats.class_arrivals[class_index(class)] += 1;
         if let Some(last) = engine.last_arrival {
             engine
@@ -253,7 +257,7 @@ impl<R> CoherenceController<R> {
     pub fn stats(&self) -> ControllerStats {
         let mut out = ControllerStats::default();
         for e in &self.engines {
-            out.arrivals += e.stats.arrivals;
+            out.arrivals += e.stats.arrivals();
             out.handled += e.stats.handled;
             out.occupancy += e.stats.occupancy;
             out.queue_delay_hist.merge(&e.stats.queue_delay_hist);
@@ -285,7 +289,7 @@ impl<R> CoherenceController<R> {
         for (idx, e) in self.engines.iter().enumerate() {
             snap.children.push(
                 ComponentStats::named(format!("engine{idx}.{}", self.policy.role_label(idx)))
-                    .counter("arrivals", e.stats.arrivals)
+                    .counter("arrivals", e.stats.arrivals())
                     .counter("handled", e.stats.handled)
                     .counter("occupancy_cycles", e.stats.occupancy)
                     .counter("queue_depth", self.queue_depth(idx) as u64)

@@ -71,7 +71,6 @@ pub struct Network {
     config: NetConfig,
     egress: Vec<Server>,
     ingress: Vec<Server>,
-    messages: u64,
     bytes: u64,
     transit: Histogram,
 }
@@ -89,7 +88,6 @@ impl Network {
             config,
             egress: vec![Server::new("net egress"); nodes],
             ingress: vec![Server::new("net ingress"); nodes],
-            messages: 0,
             bytes: 0,
             transit: Histogram::new(),
         }
@@ -111,7 +109,6 @@ impl Network {
     /// Sends to self are legal (they still pay port and NI costs); the
     /// machine model never generates them, but the torture tests may.
     pub fn send(&mut self, time: Cycle, from: NodeId, to: NodeId, bytes: u64) -> Cycle {
-        self.messages += 1;
         self.bytes += bytes;
         let ser = self.serialization(bytes);
         let injected = self.egress[from.index()].acquire_until(time + self.config.ni_overhead, ser);
@@ -128,9 +125,9 @@ impl Network {
         &self.transit
     }
 
-    /// Total messages sent.
+    /// Total messages sent (one transit time each).
     pub fn messages(&self) -> u64 {
-        self.messages
+        self.transit.count()
     }
 
     /// Total payload+header bytes moved.
@@ -142,7 +139,7 @@ impl Network {
     /// every ingress port nested.
     pub fn stats_snapshot(&self) -> ComponentStats {
         let mut snap = ComponentStats::named("net")
-            .counter("messages", self.messages)
+            .counter("messages", self.messages())
             .counter("bytes", self.bytes)
             .gauge("p99_transit", self.transit.quantile(0.99).unwrap_or(0.0));
         for port in self.egress.iter().chain(self.ingress.iter()) {
@@ -156,7 +153,6 @@ impl Network {
         for p in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
             p.reset_stats();
         }
-        self.messages = 0;
         self.bytes = 0;
         self.transit = Histogram::new();
     }

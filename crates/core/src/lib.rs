@@ -50,4 +50,4 @@ pub mod tables;
 pub use config::{Architecture, ConfigError, LatencyConfig, PlacementPolicy, SystemConfig};
 pub use machine::{FunctionalSnapshot, Machine};
 pub use report::{penalty, SimReport};
-pub use sweep::{RunKey, RunRecord, Runner, SweepRecord, SweepStats};
+pub use sweep::{RunKey, RunRecord, Runner, SweepFailure, SweepRecord, SweepStats};

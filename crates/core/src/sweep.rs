@@ -236,6 +236,22 @@ impl SweepRecord for RunRecord {
     }
 }
 
+/// The jobs of a sweep that panicked, as `(job id, panic message)` pairs
+/// in job order. Every other job of the sweep still ran and was
+/// checkpointed, so a re-run resumes rather than repeating the sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepFailure(pub Vec<(String, String)>);
+
+impl std::fmt::Display for SweepFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} job(s) panicked:", self.0.len())?;
+        for (id, msg) in &self.0 {
+            write!(f, "\n  {id}: {msg}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Cumulative execution statistics across a [`Runner`]'s sweeps.
 #[derive(Debug, Default, Clone)]
 pub struct SweepStats {
@@ -371,6 +387,7 @@ impl Runner {
             }
             RunRecord::from_report(&report)
         })
+        .unwrap_or_else(|failure| panic!("sweep failed: {failure}"))
     }
 
     /// The generic sweep core behind [`Runner::run`]: executes arbitrary
@@ -380,11 +397,18 @@ impl Runner {
     /// input. Records come back in request order; duplicate ids execute
     /// once.
     ///
+    /// # Errors
+    ///
+    /// Returns the jobs that panicked, after every job has run.
+    ///
     /// # Panics
     ///
-    /// Panics when any job panicked or the checkpoint file cannot be read
-    /// or written (same contract as [`Runner::run`]).
-    pub fn run_keyed<I, R, F>(&self, jobs: Vec<(String, I)>, exec: F) -> Vec<R>
+    /// Panics when the checkpoint file cannot be read or written.
+    pub fn run_keyed<I, R, F>(
+        &self,
+        jobs: Vec<(String, I)>,
+        exec: F,
+    ) -> Result<Vec<R>, SweepFailure>
     where
         I: Send + Sync,
         R: SweepRecord,
@@ -469,17 +493,7 @@ impl Runner {
         }
 
         if !result.all_ok() {
-            let list: Vec<String> = result
-                .summary
-                .failed
-                .iter()
-                .map(|(id, msg)| format!("{id}: {msg}"))
-                .collect();
-            panic!(
-                "sweep failed: {} job(s) panicked:\n  {}",
-                list.len(),
-                list.join("\n  ")
-            );
+            return Err(SweepFailure(result.summary.failed));
         }
         for (slot, outcome) in pending.into_iter().zip(result.outcomes) {
             if let JobStatus::Ok(rec) = outcome.status {
@@ -487,13 +501,14 @@ impl Runner {
             }
         }
 
-        ids.iter()
+        Ok(ids
+            .iter()
             .map(|id| {
                 records[slot_of[id.as_str()]]
                     .clone()
                     .expect("every slot was replayed or executed")
             })
-            .collect()
+            .collect())
     }
 }
 

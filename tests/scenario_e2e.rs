@@ -7,16 +7,19 @@
 //! record/replay round trip through the binary trace format with an
 //! identical report and snapshot. Without its scrub epilogue the same
 //! spec must make the agreement check fail with a field-level
-//! difference, and the event watchdog the sweep runs under must count
-//! queue events, so a run fits a budget of its own event count.
+//! difference, a job that panics must fail the check with its id while
+//! every other job still runs, and the event watchdog the sweep runs
+//! under must count queue events, so a run fits a budget of its own
+//! event count.
 
 use std::fs;
 use std::path::Path;
 
 use ccnuma_repro::ccn_scenario::{
-    record, run_checked, run_scenario_conformance, scenario_config, shape_of, Scenario,
-    ScenarioSpec, Trace, TraceReplay,
+    record, run_agreement, run_checked, run_scenario_conformance, scenario_config, shape_of,
+    Scenario, ScenarioSpec, Trace, TraceReplay,
 };
+use ccnuma_repro::ccn_workloads::{AppBuild, Application, MachineShape};
 use ccnuma_repro::ccnuma::experiments::Options;
 use ccnuma_repro::ccnuma::{Architecture, Machine, RunRecord, Runner};
 
@@ -99,6 +102,48 @@ fn unscrubbed_spec_fails_the_agreement_check_with_a_field_level_difference() {
         "no field-level difference: {err}"
     );
     assert!(!err.contains("diff clean"), "{err}");
+}
+
+/// The smoke scenario, or an application whose build panics.
+enum SmokeOrBroken {
+    Smoke(Scenario),
+    Broken,
+}
+
+impl Application for SmokeOrBroken {
+    fn name(&self) -> String {
+        match self {
+            SmokeOrBroken::Smoke(scenario) => scenario.name(),
+            SmokeOrBroken::Broken => "broken".to_string(),
+        }
+    }
+
+    fn build(&self, shape: &MachineShape) -> AppBuild {
+        match self {
+            SmokeOrBroken::Smoke(scenario) => scenario.build(shape),
+            SmokeOrBroken::Broken => panic!("the broken application cannot be built"),
+        }
+    }
+}
+
+#[test]
+fn a_panicking_job_fails_the_agreement_check_after_every_job_runs() {
+    let runner = Runner::sequential(Options::quick());
+    let apps = [
+        ("broken".to_string(), SmokeOrBroken::Broken),
+        (
+            "smoke".to_string(),
+            SmokeOrBroken::Smoke(Scenario::new(example("smoke.json"))),
+        ),
+    ];
+    let err = run_agreement(&runner, &apps, (4, 2), None).expect_err("the broken jobs panic");
+    for arch in Architecture::all() {
+        assert!(err.contains(&format!("broken/{}: ", arch.name())), "{err}");
+        assert!(!err.contains(&format!("smoke/{}", arch.name())), "{err}");
+    }
+    assert!(err.contains("cannot be built"), "{err}");
+    let summary = runner.stats().summary.expect("the sweep ran");
+    assert_eq!((summary.total, summary.succeeded), (8, 4));
 }
 
 /// The smoke spec's machine, built fresh.

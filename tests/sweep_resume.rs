@@ -51,14 +51,14 @@ fn resume_never_reruns_completed_jobs() {
     };
 
     let runner = Runner::sequential(Options::quick()).with_checkpoint(&path);
-    let first = runner.run_keyed(jobs(), exec);
+    let first = runner.run_keyed(jobs(), exec).expect("no job panics");
     assert_eq!(first.len(), 5);
     assert_eq!(executions.load(Ordering::SeqCst), 5);
 
     // Second sweep against the same checkpoint: everything replays, the
     // executor must not run even once, and the records are identical.
     let runner = Runner::sequential(Options::quick()).with_checkpoint(&path);
-    let second = runner.run_keyed(jobs(), exec);
+    let second = runner.run_keyed(jobs(), exec).expect("no job panics");
     assert_eq!(
         executions.load(Ordering::SeqCst),
         5,
@@ -88,13 +88,15 @@ fn partial_checkpoints_resume_only_the_missing_jobs() {
     // First sweep covers jobs 0..3.
     Runner::sequential(Options::quick())
         .with_checkpoint(&path)
-        .run_keyed(ids(0..3), exec);
+        .run_keyed(ids(0..3), exec)
+        .expect("no job panics");
     assert_eq!(executions.load(Ordering::SeqCst), 3);
 
     // Second sweep asks for 0..6: only 3..6 may execute.
     let records = Runner::sequential(Options::quick())
         .with_checkpoint(&path)
-        .run_keyed(ids(0..6), exec);
+        .run_keyed(ids(0..6), exec)
+        .expect("no job panics");
     assert_eq!(records.len(), 6);
     assert_eq!(
         executions.load(Ordering::SeqCst),
@@ -118,10 +120,12 @@ fn duplicate_ids_execute_once() {
         .iter()
         .map(|&i| (format!("dup/{i}"), i))
         .collect();
-    let records = Runner::sequential(Options::quick()).run_keyed(jobs, |&i: &u64| {
-        executions.fetch_add(1, Ordering::SeqCst);
-        record(i)
-    });
+    let records = Runner::sequential(Options::quick())
+        .run_keyed(jobs, |&i: &u64| {
+            executions.fetch_add(1, Ordering::SeqCst);
+            record(i)
+        })
+        .expect("no job panics");
     assert_eq!(executions.load(Ordering::SeqCst), 3, "3 distinct ids");
     // Results still come back per requested key, in request order.
     let want: Vec<ConformanceRecord> = [3, 1, 3, 2, 1, 3].map(record).into();

@@ -362,8 +362,11 @@ impl BlameSummary {
 ///   back as one slice;
 /// - hop-only records sit in a third ring, in event order.
 ///
-/// All three rings grow by doubling, and only while the retained records
-/// need more room.
+/// The record ring and the hop-only ring are reserved at the capacity
+/// when the recorder is created, so a run never regrows them (a doubling
+/// copies the ring and leaves the old buffer as a hole in the heap);
+/// their pages are touched only as records arrive. The hop arena grows
+/// by doubling, and only while the retained records need more room.
 #[derive(Debug)]
 pub struct FlightRecorder {
     /// Next issue sequence number per processor.
@@ -394,18 +397,18 @@ impl FlightRecorder {
     /// A recorder retaining at most `capacity` completed transactions
     /// and at most `capacity` hop-only records, with its
     /// live-transaction table sized for `nprocs` processors (each has at
-    /// most one miss outstanding). The rings are not pre-allocated: they
-    /// grow as records arrive.
+    /// most one miss outstanding). Both rings are reserved at `capacity`
+    /// records; the hop arena grows as hops arrive.
     pub fn new(capacity: usize, nprocs: usize) -> FlightRecorder {
         FlightRecorder {
             next_seq: vec![0; nprocs],
             live: FxHashMap::with_capacity_and_hasher(nprocs, Default::default()),
             slots: (0..nprocs).map(|_| LiveTxn::empty()).collect(),
             free: (0..nprocs as u32).rev().collect(),
-            completed: VecDeque::new(),
+            completed: VecDeque::with_capacity(capacity),
             hops: Vec::new(),
             hop_end: 0,
-            hop_only: VecDeque::new(),
+            hop_only: VecDeque::with_capacity(capacity),
             capacity,
             dropped: 0,
             hop_only_dropped: 0,

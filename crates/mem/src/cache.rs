@@ -1,11 +1,17 @@
 //! Set-associative LRU cache with MESI line states.
 //!
-//! The tag store is a single flat `Vec` of ways; a probe compares the
-//! tags of one set's ways (at most the associativity, typically 4)
-//! directly in that array. There are no side maps: residency is the tag
-//! match itself and the eviction pin is a bit in the way, so the probe
-//! and fill paths — the hottest in the whole simulator — allocate
-//! nothing and touch one cache-resident run of memory.
+//! The tag store keeps each set's ways together as one block in a single
+//! `Vec`, found through a per-set block index; a probe compares the tags
+//! of one block's ways (at most the associativity, typically 4) directly
+//! in that array. A set's block is written the first time the set is
+//! filled and appended in first-fill order inside a store reserved for
+//! every set up front, so an untouched set costs neither a write nor a
+//! page, and nothing reallocates during a run. There are no side maps:
+//! residency is the tag match itself and the eviction pin is a bit in the
+//! way, so the probe and fill paths — the hottest in the whole simulator
+//! — allocate nothing and touch one cache-resident run of memory.
+
+use std::ops::Range;
 
 use crate::addr::LineAddr;
 
@@ -110,6 +116,10 @@ const EMPTY_WAY: Way = Way {
     pinned: false,
 };
 
+/// Block start of a set that has never been filled. Its block range
+/// starts past the end of any way store, so a probe of it finds nothing.
+const UNFILLED: u32 = u32::MAX;
+
 /// Outcome of [`SetAssocCache::fill`]: the line that had to be displaced, if
 /// any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,12 +148,17 @@ pub struct Eviction {
 /// cache.fill(LineAddr(3), LineState::Shared, 0);
 /// assert_eq!(cache.state_of(LineAddr(3)), LineState::Shared);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     set_mask: u64,
     set_bits: u32,
     ways_per_set: usize,
+    /// Per set: the index in `ways` of its block's first way, or
+    /// `UNFILLED`.
+    blocks: Vec<u32>,
+    /// One block of `ways_per_set` ways per filled set, in first-fill
+    /// order. `new` reserves room for every set, so it never reallocates.
     ways: Vec<Way>,
     tick: u64,
     /// Number of non-Invalid ways, maintained incrementally.
@@ -159,12 +174,17 @@ impl SetAssocCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.sets();
         let ways_per_set = geometry.ways as usize;
+        assert!(
+            sets * geometry.ways as u64 <= UNFILLED as u64,
+            "too many ways to index"
+        );
         SetAssocCache {
             geometry,
             set_mask: sets - 1,
             set_bits: (sets - 1).count_ones(),
             ways_per_set,
-            ways: vec![EMPTY_WAY; (sets as usize) * ways_per_set],
+            blocks: vec![UNFILLED; sets as usize],
+            ways: Vec::with_capacity(sets as usize * ways_per_set),
             tick: 0,
             resident: 0,
         }
@@ -179,13 +199,22 @@ impl SetAssocCache {
         (line.0 & self.set_mask) as usize
     }
 
+    /// The range of `ways` that holds `set`'s block. An unfilled set's
+    /// range lies past the end of the store.
+    fn block(&self, set: usize) -> Range<usize> {
+        let base = self.blocks[set] as usize;
+        base..base + self.ways_per_set
+    }
+
     /// Index of the way holding `line`, found by comparing the tags of
     /// its set's ways (a handful of adjacent words — no hashing).
     #[inline]
     fn slot(&self, line: LineAddr) -> Option<usize> {
         let tag = line.0 >> self.set_bits;
-        let base = self.set_of(line) * self.ways_per_set;
-        self.ways[base..base + self.ways_per_set]
+        let block = self.block(self.set_of(line));
+        let base = block.start;
+        self.ways
+            .get(block)?
             .iter()
             .position(|w| w.state != LineState::Invalid && w.tag == tag)
             .map(|i| base + i)
@@ -237,11 +266,16 @@ impl SetAssocCache {
         assert!(state != LineState::Invalid, "cannot fill an Invalid line");
         self.tick += 1;
         let set = self.set_of(line);
-        let base = set * self.ways_per_set;
+        if self.blocks[set] == UNFILLED {
+            // The set's first fill: append its block to the store.
+            self.blocks[set] = self.ways.len() as u32;
+            self.ways
+                .resize(self.ways.len() + self.ways_per_set, EMPTY_WAY);
+        }
         // Prefer an invalid way; otherwise evict true-LRU among unpinned.
         let mut victim = usize::MAX;
         let mut best = u64::MAX;
-        for i in base..base + self.ways_per_set {
+        for i in self.block(set) {
             if self.ways[i].state == LineState::Invalid {
                 victim = i;
                 break;
@@ -257,10 +291,9 @@ impl SetAssocCache {
         );
         let evicted = if self.ways[victim].state != LineState::Invalid {
             let old = self.ways[victim];
-            let old_line = self.line_in_way(victim, old.tag);
             self.resident -= 1;
             Some(Eviction {
-                line: old_line,
+                line: self.line_in_set(set, old.tag),
                 state: old.state,
                 payload: old.payload,
             })
@@ -278,9 +311,8 @@ impl SetAssocCache {
         evicted
     }
 
-    fn line_in_way(&self, way_index: usize, tag: u64) -> LineAddr {
-        let set = (way_index / self.ways_per_set) as u64;
-        LineAddr((tag << self.set_bits) | set)
+    fn line_in_set(&self, set: usize, tag: u64) -> LineAddr {
+        LineAddr((tag << self.set_bits) | set as u64)
     }
 
     /// Changes the state of a resident line (upgrade, downgrade, or snoop
@@ -343,13 +375,17 @@ impl SetAssocCache {
         }
     }
 
-    /// Iterates over all resident lines as `(line, state, payload)`.
+    /// Iterates over all resident lines as `(line, state, payload)`, in
+    /// ascending set order.
     pub fn iter_resident(&self) -> impl Iterator<Item = (LineAddr, LineState, u64)> + '_ {
-        self.ways
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.state != LineState::Invalid)
-            .map(|(i, w)| (self.line_in_way(i, w.tag), w.state, w.payload))
+        (0..self.blocks.len()).flat_map(move |set| {
+            self.ways
+                .get(self.block(set))
+                .unwrap_or_default()
+                .iter()
+                .filter(|w| w.state != LineState::Invalid)
+                .map(move |w| (self.line_in_set(set, w.tag), w.state, w.payload))
+        })
     }
 
     /// Number of resident lines.
@@ -480,6 +516,52 @@ mod tests {
             ]
         );
         assert_eq!(c.resident_lines(), 2);
+    }
+
+    #[test]
+    fn new_cache_holds_no_block() {
+        let geometry = CacheGeometry::l2(128);
+        let c = SetAssocCache::new(geometry);
+        assert!(c.ways.is_empty(), "no way is written before a fill");
+        assert_eq!(
+            c.ways.capacity(),
+            2048 * 4,
+            "room is reserved for every set"
+        );
+        assert!(c.blocks.iter().all(|&b| b == UNFILLED));
+        assert_eq!(c.iter_resident().count(), 0);
+        assert_eq!(c.state_of(LineAddr(0)), LineState::Invalid);
+    }
+
+    #[test]
+    fn filling_every_set_never_moves_the_way_store() {
+        let geometry = CacheGeometry::l2(128);
+        let sets = geometry.sets();
+        let mut c = SetAssocCache::new(geometry);
+        let (ptr, capacity) = (c.ways.as_ptr(), c.ways.capacity());
+        // Five lines per set: every set is filled, then each evicts once.
+        for line in 0..5 * sets {
+            c.fill(LineAddr(line), LineState::Shared, line);
+            assert_eq!(c.ways.as_ptr(), ptr, "the store moved at line {line}");
+            assert_eq!(c.ways.capacity(), capacity, "the store grew at line {line}");
+        }
+        assert_eq!(c.ways.len(), capacity, "every set holds a block");
+        assert_eq!(c.resident_lines(), 4 * sets as usize);
+    }
+
+    #[test]
+    fn iter_resident_yields_sets_in_ascending_order() {
+        let mut c = small();
+        // First fills in descending set order, so the blocks are stored
+        // in the reverse of set order.
+        for line in [7, 2, 5, 1, 4, 0] {
+            c.fill(LineAddr(line), LineState::Shared, line);
+        }
+        let sets: Vec<u64> = c.iter_resident().map(|(l, _, _)| l.0 % 4).collect();
+        assert_eq!(sets, [0, 0, 1, 1, 2, 3]);
+        let mut lines: Vec<u64> = c.iter_resident().map(|(l, _, _)| l.0).collect();
+        lines.sort_unstable();
+        assert_eq!(lines, [0, 1, 2, 4, 5, 7]);
     }
 
     #[test]

@@ -114,6 +114,59 @@ fn state_from(code: u8) -> LineState {
     }
 }
 
+/// Applies `op` to both caches and asserts that they agree on its
+/// outcome and, afterwards, on the state of every line below `lines`.
+fn apply(cache: &mut SetAssocCache, model: &mut RefCache, op: CacheOp, lines: u64, case: u64) {
+    match op {
+        CacheOp::Access(l, write) => {
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            assert_eq!(
+                cache.access(LineAddr(l), kind),
+                model.access(l, kind),
+                "case {case}"
+            );
+        }
+        CacheOp::Fill(l, s, p) => {
+            if cache.state_of(LineAddr(l)) == LineState::Invalid {
+                // Fills pair with misses.
+                let state = state_from(s);
+                let got = cache.fill(LineAddr(l), state, p);
+                let want = model.fill(l, state, p);
+                assert_eq!(got, want, "case {case}: evictions must match");
+            }
+        }
+        CacheOp::Invalidate(l) => {
+            assert_eq!(
+                cache.invalidate(LineAddr(l)),
+                model.invalidate(l),
+                "case {case}"
+            );
+        }
+        CacheOp::SetState(l, s) => {
+            if cache.state_of(LineAddr(l)) != LineState::Invalid {
+                let state = state_from(s);
+                cache.set_state(LineAddr(l), state);
+                let set = model.set_of(l);
+                let entries = model.contents.get_mut(&set).unwrap();
+                let pos = entries.iter().position(|(x, _, _)| *x == l).unwrap();
+                entries[pos].1 = state;
+            }
+        }
+    }
+    // Spot-check agreement on every line we know about.
+    for l in 0..lines {
+        assert_eq!(
+            cache.state_of(LineAddr(l)),
+            model.state_of(l),
+            "case {case}: state divergence on line {l}"
+        );
+    }
+}
+
 #[test]
 fn cache_matches_reference_model() {
     for case in 0..64u64 {
@@ -127,55 +180,59 @@ fn cache_matches_reference_model() {
         let mut cache = SetAssocCache::new(geometry);
         let mut model = RefCache::new(geometry);
         for _ in 0..n {
-            match random_op(&mut rng, 64) {
-                CacheOp::Access(l, write) => {
-                    let kind = if write {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    assert_eq!(
-                        cache.access(LineAddr(l), kind),
-                        model.access(l, kind),
-                        "case {case}"
-                    );
-                }
-                CacheOp::Fill(l, s, p) => {
-                    if cache.state_of(LineAddr(l)) != LineState::Invalid {
-                        continue; // fills pair with misses
-                    }
-                    let state = state_from(s);
-                    let got = cache.fill(LineAddr(l), state, p);
-                    let want = model.fill(l, state, p);
-                    assert_eq!(got, want, "case {case}: evictions must match");
-                }
-                CacheOp::Invalidate(l) => {
-                    assert_eq!(
-                        cache.invalidate(LineAddr(l)),
-                        model.invalidate(l),
-                        "case {case}"
-                    );
-                }
-                CacheOp::SetState(l, s) => {
-                    if cache.state_of(LineAddr(l)) != LineState::Invalid {
-                        let state = state_from(s);
-                        cache.set_state(LineAddr(l), state);
-                        let set = model.set_of(l);
-                        let entries = model.contents.get_mut(&set).unwrap();
-                        let pos = entries.iter().position(|(x, _, _)| *x == l).unwrap();
-                        entries[pos].1 = state;
-                    }
-                }
-            }
-            // Spot-check agreement on every line we know about.
-            for l in 0..64 {
-                assert_eq!(
-                    cache.state_of(LineAddr(l)),
-                    model.state_of(l),
-                    "case {case}: state divergence on line {l}"
-                );
-            }
+            let op = random_op(&mut rng, 64);
+            apply(&mut cache, &mut model, op, 64, case);
         }
+    }
+}
+
+/// `op` with its line moved into one of `sets`, keeping the line's tag.
+fn confine(op: CacheOp, total_sets: u64, sets: &[u64]) -> CacheOp {
+    let move_line = |l: u64| l - l % total_sets + sets[(l % sets.len() as u64) as usize];
+    match op {
+        CacheOp::Access(l, w) => CacheOp::Access(move_line(l), w),
+        CacheOp::Fill(l, s, p) => CacheOp::Fill(move_line(l), s, p),
+        CacheOp::Invalidate(l) => CacheOp::Invalidate(move_line(l)),
+        CacheOp::SetState(l, s) => CacheOp::SetState(move_line(l), s),
+    }
+}
+
+#[test]
+fn cache_matches_reference_model_as_sets_fill_for_the_first_time() {
+    let geometry = CacheGeometry {
+        size_bytes: 4096,
+        line_bytes: 64,
+        ways: 4,
+    };
+    let total_sets = geometry.sets();
+    let lines = 8 * total_sets;
+    for case in 0..32u64 {
+        let mut rng = SplitMix64::new(0x1A2E + case);
+        // A few sets, in random order, are the only ones touched at first;
+        // later the stream spreads over every set.
+        let few: Vec<u64> = (0..3).map(|_| rng.next_below(total_sets)).collect();
+        let mut cache = SetAssocCache::new(geometry);
+        let mut model = RefCache::new(geometry);
+        for i in 0..600 {
+            let op = random_op(&mut rng, lines);
+            let op = if i < 200 {
+                confine(op, total_sets, &few)
+            } else {
+                op
+            };
+            apply(&mut cache, &mut model, op, lines, case);
+        }
+        let got: Vec<_> = cache.iter_resident().collect();
+        assert!(
+            got.windows(2)
+                .all(|w| w[0].0 .0 % total_sets <= w[1].0 .0 % total_sets),
+            "case {case}: resident lines must come in ascending set order"
+        );
+        let mut got: Vec<_> = got.into_iter().map(|(l, st, p)| (l.0, st, p)).collect();
+        got.sort_unstable();
+        let mut want: Vec<_> = model.contents.values().flatten().copied().collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "case {case}: resident lines must match");
     }
 }
 

@@ -21,16 +21,22 @@
 //! that fan-out. On 256x1 HWC with full-map directories, each Shared
 //! line's four-word sharer record takes a slot its directory reuses
 //! once the line leaves Shared, so recycling records allocates nothing
-//! either.
+//! either. Radix at its scaled data set on 4x2 HWC, with the paper's
+//! 1 MB L2, fills cache sets for the first time in its measured phase,
+//! and six of its eight L2s end it with more than half their sets
+//! filled: each set's ways are written on its first fill, inside the
+//! store `SetAssocCache::new` reserved for every set, so first fills
+//! allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use ccn_bench::golden::kv_mix_spec;
 use ccn_protocol::DirFormat;
 use ccn_scenario::{scenario_config, Scenario};
-use ccn_workloads::suite::SuiteApp;
+use ccn_workloads::suite::{Scale, SuiteApp};
+use ccn_workloads::Application;
 use ccnuma::experiments::{config_for, ConfigMods, Options};
-use ccnuma::{Architecture, Machine};
+use ccnuma::{Architecture, Machine, SystemConfig};
 
 /// System allocator that reports every `alloc`/`realloc` to the gate,
 /// which counts it only while a requested measured phase is live.
@@ -93,17 +99,42 @@ fn recorder_on_measured_phase_allocates_a_bounded_number_of_times() {
     }
 
     // Recorder off: no allocation at all.
-    let machines = [
-        ("8x2 PPC", scenario_config(Architecture::Ppc, 8, 2)),
+    let kv_mix = Scenario::new(kv_mix_spec());
+    let radix_opts = Options {
+        scale: Scale::Scaled,
+        ..Options::quick()
+    };
+    let radix = SuiteApp::Radix.instantiate(radix_opts.scale);
+    let machines: [(&str, SystemConfig, &dyn Application); 4] = [
         (
-            "128x1 HWC limited:4",
+            "kv-mix on 8x2 PPC",
+            scenario_config(Architecture::Ppc, 8, 2),
+            &kv_mix,
+        ),
+        (
+            "kv-mix on 128x1 HWC limited:4",
             scenario_config(Architecture::Hwc, 128, 1)
                 .with_dir_format(DirFormat::Limited { ptrs: 4 }),
+            &kv_mix,
         ),
-        ("256x1 HWC", scenario_config(Architecture::Hwc, 256, 1)),
+        (
+            "kv-mix on 256x1 HWC",
+            scenario_config(Architecture::Hwc, 256, 1),
+            &kv_mix,
+        ),
+        (
+            "scaled Radix on 4x2 HWC",
+            config_for(
+                SuiteApp::Radix,
+                Architecture::Hwc,
+                radix_opts,
+                ConfigMods::default(),
+            ),
+            radix.as_ref(),
+        ),
     ];
-    for (name, cfg) in machines {
-        let mut machine = Machine::new(cfg, &Scenario::new(kv_mix_spec())).expect("valid config");
+    for (name, cfg, app) in machines {
+        let mut machine = Machine::new(cfg, app).expect("valid config");
         ccn_sim::alloc_gate::request();
         let report = machine.run();
         let (allocs, bytes) = ccn_sim::alloc_gate::counts();
@@ -112,7 +143,7 @@ fn recorder_on_measured_phase_allocates_a_bounded_number_of_times() {
         assert_eq!(
             allocs,
             0,
-            "kv-mix on {name}, recorder off: the measured phase allocated {allocs} time(s) \
+            "{name}, recorder off: the measured phase allocated {allocs} time(s) \
              ({bytes} bytes) at a peak of {} pending events",
             machine.max_pending_events()
         );

@@ -37,7 +37,7 @@ use std::path::PathBuf;
 
 use ccn_protocol::DirFormat;
 use ccn_scenario::{scenario_config, Scenario, ScenarioSpec};
-use ccn_verify::{conformance_cases, explore, run_case, Bounds, ModelConfig};
+use ccn_verify::{conformance_cases, explore, run_case, Bounds, ModelConfig, Mutation, Ordering};
 use ccn_workloads::suite::{Scale, SuiteApp};
 use ccn_workloads::Application;
 use ccnuma::experiments::{self, config_for, ConfigMods, Options};
@@ -96,7 +96,10 @@ fn latency_probes() -> String {
 /// After the two full-map spaces come the CI stress shapes of the scaled
 /// formats: coarse regions rounding on 3 nodes, one pointer overflowing
 /// at the second sharer, two pointers held together on 4 nodes, and a
-/// 1-slot sparse home recalling between lines.
+/// 1-slot sparse home recalling between lines. The last lines pin what
+/// the checker finds where it must fail: each seeded mutation at 2 and
+/// 3 nodes, and the 2-node space under the adversarial pair-FIFO
+/// ordering, with the shrunk counterexample's length.
 fn model_space() -> String {
     let deep = Bounds::default().depth;
     let mut out = String::new();
@@ -131,6 +134,31 @@ fn model_space() -> String {
             report.summary()
         );
     }
+    for nodes in [2u16, 3] {
+        for (name, mutation) in Mutation::ALL {
+            let cfg = ModelConfig {
+                nodes,
+                mutation,
+                ..ModelConfig::default()
+            };
+            let report = explore(&cfg, &Bounds::default());
+            let _ = writeln!(
+                out,
+                "{nodes} nodes / 1 line(s), mutation {name}: {}",
+                report.summary()
+            );
+        }
+    }
+    let cfg = ModelConfig {
+        ordering: Ordering::PairFifo,
+        ..ModelConfig::default()
+    };
+    let report = explore(&cfg, &Bounds::default());
+    let _ = writeln!(
+        out,
+        "2 nodes / 1 line(s), pair-fifo ordering: {}",
+        report.summary()
+    );
     out
 }
 

@@ -12,6 +12,7 @@ use ccn_mem::{
 use ccn_net::Network;
 use ccn_obs::flight::{Category, FlightEvent, FlightRecorder};
 use ccn_protocol::directory::{DirFormat, DirRequestKind, DirState, SharerBitmap};
+use ccn_protocol::exec::Grant;
 use ccn_protocol::handlers::{Fanout, HandlerSpec, Step};
 use ccn_protocol::{HandlerKind, Msg, MsgClass};
 use ccn_sim::{ComponentStats, Cycle, EventQueue, FxHashMap};
@@ -70,17 +71,8 @@ pub(crate) struct Mshr {
     /// Other blocked processors waiting on the same line, as a handle
     /// into the node's shared waiter slab (see `Node::waiter_pool`).
     pub waiters: ccn_sim::pool::ListRef,
-    /// Data (or upgrade permission) has arrived.
-    pub has_data: bool,
-    /// The grant said invalidation acks are being collected at the home
-    /// (completion additionally requires the `InvDone` notice).
-    pub needs_inv_done: bool,
-    /// The `InvDone` notice has arrived.
-    pub inv_done_received: bool,
-    /// Payload carried by the data response.
-    pub payload: u64,
-    /// When the data became available.
-    pub data_time: Cycle,
+    /// The exclusive grant's progress (see `ccn_protocol::exec::Grant`).
+    pub grant: Grant,
 }
 
 impl Mshr {
@@ -89,11 +81,7 @@ impl Mshr {
             kind,
             initiator,
             waiters: ccn_sim::pool::ListRef::default(),
-            has_data: false,
-            needs_inv_done: false,
-            inv_done_received: false,
-            payload: 0,
-            data_time: 0,
+            grant: Grant::default(),
         }
     }
 }
@@ -1707,7 +1695,7 @@ mod tests {
     fn mshr_initial_state() {
         let m = Mshr::new(DirRequestKind::Upgrade, 7);
         assert_eq!(m.initiator, 7);
-        assert!(!m.has_data && !m.needs_inv_done && !m.inv_done_received);
+        assert_eq!(m.grant, Grant::default());
         assert!(m.waiters.is_empty());
     }
 

@@ -2,6 +2,7 @@
 
 use ccn_mem::LineAddr;
 
+use ccn_protocol::exec::StepRun;
 use ccn_protocol::handlers::Step;
 use ccn_protocol::subop::{OccupancyTable, SubOp};
 use ccn_sim::Cycle;
@@ -30,17 +31,6 @@ pub(crate) enum CcRequest {
     /// A dirty-remote eviction waiting to be forwarded by the engine
     /// (only when the direct data path is disabled).
     Writeback { line: LineAddr, payload: u64 },
-}
-
-/// Timing results of executing a handler's step list.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StepRun {
-    /// Cycle the engine is released (handler occupancy ends).
-    pub end: Cycle,
-    /// Critical-beat time of the `BusDeliver` step, if present.
-    pub deliver: Option<Cycle>,
-    /// Time local memory data became available, if a `MemRead` ran.
-    pub mem_data: Option<Cycle>,
 }
 
 /// Executes `steps` on `node` starting at `start`, reserving bus,

@@ -21,14 +21,19 @@
 //!   the reproduction of the paper's Table 2.
 //! * [`handlers`] — every protocol handler as a sequence of sub-operations,
 //!   from which handler occupancies (Table 4) are derived.
+//! * [`exec`] — what every handler decides and does, written once over a
+//!   [`exec::Host`] trait that both the timed machine and the model
+//!   checker implement.
 //!
-//! The *execution* of handlers (who wins bus arbitration, when messages
-//! arrive) belongs to the machine model in the `ccnuma` crate.
+//! *When* handlers run (who wins bus arbitration, when messages arrive,
+//! what each step costs) belongs to the machine model in the `ccnuma`
+//! crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod directory;
+pub mod exec;
 pub mod handlers;
 pub mod msg;
 pub mod sharers;

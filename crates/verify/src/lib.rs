@@ -3,10 +3,10 @@
 //! Two independent layers of assurance over the coherence machinery:
 //!
 //! 1. **Bounded exhaustive model checking** ([`model`], [`mod@explore`]):
-//!    an explicit-state transition system that drives the *real*
-//!    [`ccn_protocol::directory::Directory`] together with an untimed
-//!    mirror of the controller handlers, enumerating every message
-//!    interleaving on small configurations (2–4 nodes, 1–2 lines).
+//!    an explicit-state transition system that runs the simulator's own
+//!    controller handlers ([`ccn_protocol::exec`]) and directory on an
+//!    untimed node model, enumerating every message interleaving on
+//!    small configurations (2–4 nodes, 1–2 lines).
 //!    Checked invariants: single-writer/multiple-reader, data currency
 //!    (every readable copy holds the latest committed write), guaranteed
 //!    drain to quiescence, and quiescent directory/cache/memory

@@ -991,8 +991,17 @@ fn run_verify(opts: Options, jobs: usize, args: &[String]) -> (String, bool) {
     let mut out = String::new();
     let mut ok = true;
 
-    let nodes = uint_flag(args, "--nodes", 2) as u16;
-    let lines = uint_flag(args, "--lines", 1) as u8;
+    let (nodes, lines, depth) = match ccn_bench::model_bounds(
+        uint_flag(args, "--nodes", 2),
+        uint_flag(args, "--lines", 1),
+        uint_flag(args, "--depth", u64::from(Bounds::default().depth)),
+    ) {
+        Ok(bounds) => bounds,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let format = match flag_value(args, "--dir-format") {
         None => ccn_protocol::DirFormat::FullMap,
         Some(s) => match ccn_protocol::DirFormat::parse(&s) {
@@ -1021,7 +1030,7 @@ fn run_verify(opts: Options, jobs: usize, args: &[String]) -> (String, bool) {
         }
     };
     let bounds = Bounds {
-        depth: uint_flag(args, "--depth", u64::from(Bounds::default().depth)) as u32,
+        depth,
         ..Bounds::default()
     };
     let cfg = ModelConfig {

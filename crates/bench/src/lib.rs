@@ -219,9 +219,47 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Checks `repro verify`'s model bounds: `--nodes` from 2 to
+/// [`ccn_protocol::MAX_NODES`], `--lines` from 1 to 255 and `--depth` up
+/// to `u32::MAX`, the ranges `ccn_verify::ModelConfig` and
+/// `ccn_verify::Bounds` can hold and the model can run. The error names
+/// the first flag out of range.
+pub fn model_bounds(nodes: u64, lines: u64, depth: u64) -> Result<(u16, u8, u32), String> {
+    let max_nodes = ccn_protocol::MAX_NODES;
+    let nodes = u16::try_from(nodes)
+        .ok()
+        .filter(|n| (2..=max_nodes).contains(n))
+        .ok_or_else(|| format!("--nodes wants 2 to {max_nodes} nodes, got {nodes}"))?;
+    let lines = u8::try_from(lines)
+        .ok()
+        .filter(|&l| l >= 1)
+        .ok_or_else(|| format!("--lines wants 1 to {} lines, got {lines}", u8::MAX))?;
+    let depth = u32::try_from(depth)
+        .map_err(|_| format!("--depth wants at most {} events, got {depth}", u32::MAX))?;
+    Ok((nodes, lines, depth))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_bounds_reject_what_the_model_cannot_run() {
+        assert_eq!(model_bounds(2, 1, 64), Ok((2, 1, 64)));
+        assert_eq!(model_bounds(1024, 255, 0), Ok((1024, 255, 0)));
+        for (nodes, lines, depth, flag) in [
+            (1, 1, 6, "--nodes"),
+            (2000, 1, 6, "--nodes"),
+            (65538, 1, 6, "--nodes"),
+            (2, 0, 6, "--lines"),
+            (2, 256, 6, "--lines"),
+            (2, 257, 6, "--lines"),
+            (2, 1, 1 << 32, "--depth"),
+        ] {
+            let err = model_bounds(nodes, lines, depth).unwrap_err();
+            assert!(err.starts_with(flag), "{nodes}/{lines}/{depth}: {err}");
+        }
+    }
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()

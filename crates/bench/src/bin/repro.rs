@@ -94,7 +94,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ccn_bench::{
-    artifact_path, artifact_stamp, checkpoint_path, default_targets, git_describe, golden,
+    artifact_path, artifact_stamp, checkpoint_path, expand_targets, git_describe, golden,
     jobs_from_flags, options_from_flags, scale_name, sweep_name, unknown_flag, SWEEP_TARGETS,
     TARGETS,
 };
@@ -197,13 +197,10 @@ fn main() {
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("can create the output directory");
     }
-    let mut targets = positional_targets(&args);
-    if targets.is_empty() || targets.contains(&"all") {
-        // "all" covers the paper's tables and figures; the extras
-        // (ablations, summary, validate, verify, golden) run only when
-        // asked for by name.
-        targets = default_targets();
-    }
+    // "all" covers the paper's tables and figures; the extras
+    // (ablations, summary, validate, verify, golden) run only when asked
+    // for by name, and run beside it when named with it.
+    let targets = expand_targets(&positional_targets(&args));
     for t in &targets {
         if !TARGETS.contains(t) {
             eprintln!("unknown target '{t}'; known targets: {TARGETS:?}");

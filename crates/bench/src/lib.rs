@@ -77,6 +77,27 @@ pub fn default_targets() -> Vec<&'static str> {
         .collect()
 }
 
+/// The targets a command line runs, in order: `all` (or an empty list)
+/// expands in place to [`default_targets`], the other named targets keep
+/// their places, and a target named twice runs once, at its first place.
+pub fn expand_targets<'a>(named: &[&'a str]) -> Vec<&'a str> {
+    let named: &[&str] = if named.is_empty() { &["all"] } else { named };
+    let mut targets = Vec::new();
+    for &name in named {
+        let expansion = if name == "all" {
+            default_targets()
+        } else {
+            vec![name]
+        };
+        for target in expansion {
+            if !targets.contains(&target) {
+                targets.push(target);
+            }
+        }
+    }
+    targets
+}
+
 /// Targets that sweep simulations and therefore run through the harness
 /// worker pool with a checkpoint file.
 pub const SWEEP_TARGETS: &[&str] = &[
@@ -349,5 +370,26 @@ mod tests {
         for t in EXTRA_TARGETS {
             assert!(!defaults.contains(t), "extra {t} leaked into `all`");
         }
+    }
+
+    #[test]
+    fn all_expands_in_place_beside_named_targets() {
+        let defaults = default_targets();
+        assert_eq!(expand_targets(&[]), defaults);
+        assert_eq!(expand_targets(&["all"]), defaults);
+        // `all ablations` runs the paper's targets and then the ablations.
+        let mut all_then_ablations = defaults.clone();
+        all_then_ablations.push("ablations");
+        assert_eq!(expand_targets(&["all", "ablations"]), all_then_ablations);
+        // Named targets keep their places; one already in `all` runs once.
+        let mut expected = vec!["ablations", "table3"];
+        expected.extend(defaults.iter().filter(|&&t| t != "table3"));
+        assert_eq!(
+            expand_targets(&["ablations", "table3", "all", "table3"]),
+            expected
+        );
+        assert_eq!(expand_targets(&["fig6", "fig6"]), ["fig6"]);
+        // An unknown name is kept, so the caller can reject it.
+        assert_eq!(expand_targets(&["all", "bogus"]).last(), Some(&"bogus"));
     }
 }

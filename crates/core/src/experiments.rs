@@ -10,7 +10,7 @@
 //! runtime; `Paper` uses Table 5's data sets; `Tiny` is for tests.
 
 use ccn_net::NetConfig;
-use ccn_protocol::handlers::{Fanout, HandlerKind, HandlerSpec, StaticStepCosts};
+use ccn_protocol::handlers::{Fanout, HandlerKind};
 use ccn_protocol::subop::{EngineKind, OccupancyTable, SubOp};
 use ccn_workloads::suite::{Scale, SuiteApp};
 
@@ -18,6 +18,7 @@ use crate::config::{Architecture, SystemConfig};
 use crate::machine::Machine;
 use crate::probe;
 use crate::report::{penalty, SimReport};
+use crate::steps::run_idle;
 use crate::sweep::{RunKey, RunRecord, Runner};
 use crate::tables::{num, pct, TextTable};
 
@@ -227,18 +228,22 @@ pub fn table3() -> TextTable {
     t
 }
 
-/// Table 4: protocol handler occupancies (one remote invalidation assumed
-/// for the fan-out handlers, as a representative row).
+/// Table 4: protocol handler occupancies, each handler run by the step
+/// executor on an idle node with its directory-cache entry warm (one
+/// remote invalidation assumed for the fan-out handlers, as a
+/// representative row).
 pub fn table4() -> TextTable {
-    let costs = StaticStepCosts::default();
+    let occupancy = |arch, kind| {
+        let cfg = SystemConfig::base().with_architecture(arch);
+        run_idle(&cfg, kind, Fanout::remote(1)).0.end
+    };
     let mut t = TextTable::new(vec!["handler", "HWC", "PPC"])
         .with_title("Table 4: protocol handler occupancies (cycles)");
     for &kind in HandlerKind::all() {
-        let spec = HandlerSpec::build(kind, Fanout::remote(1));
         t.row(vec![
             kind.paper_label().to_string(),
-            spec.occupancy(EngineKind::Hwc, &costs).to_string(),
-            spec.occupancy(EngineKind::Ppc, &costs).to_string(),
+            occupancy(Architecture::Hwc, kind).to_string(),
+            occupancy(Architecture::Ppc, kind).to_string(),
         ]);
     }
     t

@@ -13,7 +13,7 @@ use ccn_net::Network;
 use ccn_obs::flight::{Category, FlightEvent, FlightRecorder};
 use ccn_protocol::directory::{DirFormat, DirRequestKind, DirState, SharerBitmap};
 use ccn_protocol::exec::Grant;
-use ccn_protocol::handlers::{Fanout, HandlerSpec, Step};
+use ccn_protocol::handlers::Step;
 use ccn_protocol::{HandlerKind, Msg, MsgClass};
 use ccn_sim::{ComponentStats, Cycle, EventQueue, FxHashMap};
 use ccn_workloads::{Application, MachineShape, Op, SegmentProgram};
@@ -148,16 +148,9 @@ pub struct Machine {
     /// Optional cycle-cadenced sampler over the component stats spine
     /// (see [`Machine::enable_sampler`]).
     pub(crate) sampler: Option<ccn_obs::Sampler>,
-    /// Engine index of the protocol handler currently executing; stamped
-    /// into flight-recorder hops so exported traces get one track per
-    /// engine.
-    pub(crate) current_engine: u8,
     /// Optional transaction flight recorder (see
     /// [`enable_flight_recorder`](Machine::enable_flight_recorder)).
     pub(crate) flight: Option<FlightRecorder>,
-    /// Transaction key `(requesting node, line)` of the handler currently
-    /// executing, so occupancy spans land on the right transaction.
-    pub(crate) flight_key: Option<(u16, u64)>,
     /// Invalidation requests that found no local copy (stale directory
     /// bits from silent clean drops).
     pub(crate) useless_invalidations: u64,
@@ -166,13 +159,9 @@ pub struct Machine {
     /// array rather than a map: the dispatch path bumps a counter per
     /// event and must not touch the allocator.
     pub(crate) handler_counts: [u64; HandlerKind::COUNT],
-    /// The handler being executed: every handler invocation refills this
-    /// spec in place instead of building a fresh step vector.
-    pub(crate) step_scratch: HandlerSpec,
     /// Completion times of the executing handler's `SendMsg` steps.
-    /// [`Machine::new`] sizes this buffer and `step_scratch` for the
-    /// widest handler the machine can run, so the dispatch hot path never
-    /// allocates.
+    /// [`Machine::new`] sizes this buffer for the widest handler the
+    /// machine can run, so the dispatch hot path never allocates.
     pub(crate) send_scratch: Vec<Cycle>,
     /// Reusable buffer for barrier releases: [`SyncState::barrier_arrive`]
     /// fills it with the processors to wake, so barrier episodes never
@@ -260,19 +249,22 @@ impl Machine {
             cfg.lat.lock_handoff,
         );
         let nodes_len = nodes.len();
-        // Size the handler scratch for the widest handler this machine
-        // can run: every remote node plus local copies to invalidate.
-        let widest = Fanout {
-            remote_invs: cfg.nodes as u32 - 1,
-            local_inv: true,
-        };
-        let mut step_scratch = HandlerSpec::build(HandlerKind::all()[0], widest);
-        let mut max_sends = 0;
-        for &kind in HandlerKind::all() {
-            step_scratch.fill(kind, widest);
-            let sends = step_scratch.steps.iter().filter(|s| **s == Step::SendMsg);
-            max_sends = max_sends.max(sends.count());
-        }
+        // Size the send buffer for the widest handler this machine can
+        // run: its own sends plus an invalidation of every remote node.
+        let max_sends = HandlerKind::all()
+            .iter()
+            .map(|kind| {
+                kind.steps()
+                    .iter()
+                    .map(|step| match step {
+                        Step::SendMsg => 1,
+                        Step::RemoteInvalidations => cfg.nodes - 1,
+                        _ => 0,
+                    })
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
         Ok(Machine {
             cfg,
             map,
@@ -292,12 +284,9 @@ impl Machine {
             l2_misses: 0,
             node_miss_latency: vec![ccn_sim::Histogram::new(); nodes_len],
             sampler: None,
-            current_engine: 0,
             flight: None,
-            flight_key: None,
             useless_invalidations: 0,
             handler_counts: [0; HandlerKind::COUNT],
-            step_scratch,
             send_scratch: Vec::with_capacity(max_sends),
             barrier_scratch: Vec::with_capacity(nprocs),
         })
@@ -455,26 +444,6 @@ impl Machine {
         if let Some(recorder) = &mut self.flight {
             recorder.apply(event);
         }
-    }
-
-    /// Records a milestone for the transaction the currently-executing
-    /// handler serves (no-op when the handler runs on a transaction the
-    /// recorder is not tracking, e.g. evictions and recalls).
-    pub(crate) fn record_flight_milestone(&mut self, time: Cycle, cat: Category) {
-        if let Some((node, line)) = self.flight_key {
-            self.record_flight(FlightEvent::Milestone {
-                node,
-                line,
-                time,
-                cat,
-            });
-        }
-    }
-
-    /// Marks `engine` as the executor of the handler about to run, so
-    /// its flight-recorder hop carries the right per-engine track.
-    pub(crate) fn set_current_engine(&mut self, engine: u8) {
-        self.current_engine = engine;
     }
 
     // ---------------------------------------------------------------

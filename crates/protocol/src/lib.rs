@@ -19,8 +19,9 @@
 //! * [`subop`] — protocol-engine *sub-operations* and their occupancies for
 //!   the custom-hardware (HWC) and protocol-processor (PPC) engines —
 //!   the reproduction of the paper's Table 2.
-//! * [`handlers`] — every protocol handler as a sequence of sub-operations,
-//!   from which handler occupancies (Table 4) are derived.
+//! * [`handlers`] — every protocol handler as a static sequence of
+//!   sub-operations, which the machine's step executor times (Table 4 is
+//!   that executor on an idle node).
 //! * [`exec`] — what every handler decides and does, written once over a
 //!   [`exec::Host`] trait that both the timed machine and the model
 //!   checker implement.
@@ -42,7 +43,7 @@ pub mod subop;
 pub use directory::{
     DirAction, DirOutcome, DirRequest, DirRequestKind, DirState, Directory, Recall, SharerBitmap,
 };
-pub use handlers::{HandlerKind, HandlerSpec, Step, TxnPhase};
+pub use handlers::{HandlerKind, Step, TxnPhase};
 pub use msg::{Msg, MsgClass, MsgKind};
 pub use sharers::{DirFormat, SharerSet, DIR_FORMATS, MAX_NODES};
 pub use subop::{EngineKind, OccupancyTable, SubOp};

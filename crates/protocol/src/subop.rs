@@ -48,11 +48,11 @@ impl EngineKind {
         }
     }
 
-    /// Cost of a handler's engine-specific extra compute (the software
-    /// instruction stream; zero for the pure-hardware FSM).
-    pub fn extra_cost(self, hwc: ccn_sim::Cycle, ppc: ccn_sim::Cycle) -> ccn_sim::Cycle {
+    /// Cost of a handler's protocol-processor compute, `ppc` cycles of
+    /// software instruction stream: zero for the pure-hardware FSM.
+    pub fn extra_cost(self, ppc: Cycle) -> Cycle {
         match self {
-            EngineKind::Hwc => hwc,
+            EngineKind::Hwc => 0,
             // The handler bodies stay software on both PP designs.
             EngineKind::Ppc | EngineKind::PpcAccelerated => ppc,
         }

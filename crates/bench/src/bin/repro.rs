@@ -8,7 +8,7 @@
 //! targets: table1 table2 table3 table4 table5 table6 table7
 //!          fig6 fig7 fig8 fig9 fig10 fig11 fig12
 //!          ablations summary run stats trace explain validate verify
-//!          golden bench all
+//!          golden all
 //!
 //! repro scenario list | check [SPEC...] | run SPEC... | record SPEC | replay FILE
 //! ```
@@ -35,17 +35,8 @@
 //! cross-architecture differential conformance (`--conf-cases K`).
 //! `golden` compares the deterministic anchor outputs against the
 //! snapshots under `tests/golden/`; `golden --bless` regenerates them.
-//!
-//! `bench` runs the hot-path benchmark suite (event-queue churn, cache
-//! probe storm, directory handler mix, end-to-end reference sweep) and
-//! writes a JSON artifact (`--bench-json FILE`, default
-//! `BENCH_sim.json`). With `--baseline FILE` it gates each case's
-//! throughput against the baseline's `per_sec` at a 25% tolerance
-//! (override with `--tolerance F`) and exits non-zero on a regression;
-//! `--quick` shrinks the workloads to CI-smoke size; `--obs` runs the
-//! end-to-end case with the observability layer on (the stats-spine
-//! sampler and the transaction flight recorder, which records every
-//! handler span), turning the gate into an obs-overhead bound.
+//! The simulator's host-time benchmark is not a target here: it is
+//! perfbench (`perfbench/`), gated in CI against `ci/perf_floors.json`.
 //! See `docs/PERF.md`.
 //!
 //! `stats` runs the reference simulation (Ocean on HWC) with the
@@ -88,7 +79,8 @@
 //! simulated job; `--blame` additionally records each run's transaction
 //! flight and stamps a per-component blame summary into the sidecar.
 //!
-//! An unknown `--flag` is a usage error (exit 2).
+//! An unknown `--flag`, or a `--jobs` value that is not a non-negative
+//! integer, is a usage error (exit 2).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -103,83 +95,6 @@ use ccn_workloads::suite::SuiteApp;
 use ccnuma::experiments::{self, Options};
 use ccnuma::sweep::Runner;
 
-/// System allocator wrapped with the measured-phase counter: every
-/// `alloc`/`realloc` is reported to [`ccn_sim::alloc_gate`], which counts
-/// it only while a gated benchmark's measured phase is live. This is how
-/// `repro bench` *proves* the steady state allocates nothing rather than
-/// asserting it; outside the gate the overhead is one relaxed atomic
-/// load per allocation.
-struct CountingAlloc;
-
-// SAFETY: defers to `System` for every operation; the counter hook does
-// not allocate and never observes the pointers.
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ccn_sim::alloc_gate::note(layout.size());
-        trace_armed_alloc(layout.size());
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ccn_sim::alloc_gate::note(layout.size());
-        trace_armed_alloc(layout.size());
-        unsafe { std::alloc::System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ccn_sim::alloc_gate::note(new_size);
-        trace_armed_alloc(new_size);
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Debugging aid for the zero-alloc gate: with `ALLOC_TRACE=N` in the
-/// environment, prints a backtrace for each of the first N allocations
-/// that happen inside an armed measured phase, so a regression points
-/// at its own call site instead of just failing the count. A recursion
-/// guard keeps the backtrace machinery's own allocations quiet.
-fn trace_armed_alloc(size: usize) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static LEFT: AtomicU64 = AtomicU64::new(u64::MAX);
-    thread_local! {
-        static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    }
-    if !ccn_sim::alloc_gate::armed() {
-        return;
-    }
-    let entered = IN_TRACE.with(|f| {
-        if f.get() {
-            false
-        } else {
-            f.set(true);
-            true
-        }
-    });
-    if !entered {
-        return;
-    }
-    if LEFT.load(Ordering::Relaxed) == u64::MAX {
-        let budget = std::env::var("ALLOC_TRACE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        LEFT.store(budget, Ordering::Relaxed);
-    }
-    if LEFT.load(Ordering::Relaxed) > 0 {
-        LEFT.fetch_sub(1, Ordering::Relaxed);
-        let bt = std::backtrace::Backtrace::force_capture();
-        eprintln!("[alloc-trace] {size} bytes in measured phase:\n{bt}");
-    }
-    IN_TRACE.with(|f| f.set(false));
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The scenario frontend owns its whole argument list.
@@ -191,7 +106,10 @@ fn main() {
         std::process::exit(2);
     }
     let opts = options_from_flags(&args);
-    let jobs = jobs_from_flags(&args);
+    let jobs = jobs_from_flags(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let fresh = args.iter().any(|a| a == "--fresh");
     let out_dir = flag_value(&args, "--out");
     if let Some(dir) = &out_dir {
@@ -254,10 +172,7 @@ const VALUE_FLAGS: &[&str] = &[
     "--mutate",
     "--ordering",
     "--conf-cases",
-    "--baseline",
-    "--bench-json",
     "--sample-every",
-    "--tolerance",
     "--trace",
     "--arch",
     "--metrics",
@@ -275,7 +190,6 @@ const SWITCHES: &[&str] = &[
     "--timeline",
     "--blame",
     "--bless",
-    "--obs",
 ];
 
 /// The non-flag arguments, with every value flag's value skipped.
@@ -493,13 +407,6 @@ fn render_target(
                 *failed = true;
             }
         }
-        "bench" => {
-            let (report, ok) = run_bench_target(args);
-            render(&mut out, report);
-            if !ok {
-                *failed = true;
-            }
-        }
         "golden" => {
             if args.iter().any(|a| a == "--bless") {
                 render(&mut out, golden::bless_all());
@@ -629,52 +536,8 @@ fn validate(opts: Options) -> (String, bool) {
     (out, ok)
 }
 
-/// The `bench` target: the hot-path benchmark suite. Writes the JSON
-/// artifact (default `BENCH_sim.json`, override with `--bench-json FILE`)
-/// and, with `--baseline FILE`, gates on >25% throughput regressions
-/// against the checked-in baseline.
-fn run_bench_target(args: &[String]) -> (String, bool) {
-    use ccn_bench::perf;
-    let quick = args.iter().any(|a| a == "--quick");
-    let obs = args.iter().any(|a| a == "--obs");
-    let revision = git_describe();
-    let report = perf::run_bench(quick, obs, &revision);
-    let mut out = report.render();
-    let mut ok = true;
-    let json_path = flag_value(args, "--bench-json").unwrap_or_else(|| "BENCH_sim.json".into());
-    std::fs::write(&json_path, report.to_json().render_pretty())
-        .expect("can write the benchmark artifact");
-    let _ = writeln!(out, "wrote {json_path}");
-    if let Some(path) = flag_value(args, "--baseline") {
-        let tolerance = flag_value(args, "--tolerance")
-            .map(|v| {
-                v.parse::<f64>().unwrap_or_else(|_| {
-                    eprintln!("--tolerance wants a fraction like 0.25, got '{v}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(0.25);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = ccn_harness::json::parse(&text)
-            .unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e:?}"));
-        let (lines, pass) = report.check_against(&baseline, tolerance);
-        let _ = writeln!(
-            out,
-            "\nregression gate vs {path} ({:.0}% tolerance):",
-            tolerance * 100.0
-        );
-        for line in lines {
-            let _ = writeln!(out, "{line}");
-        }
-        ok = pass;
-    }
-    (out, ok)
-}
-
 /// Builds the observability reference machine: Ocean on HWC at the
-/// selected scale, the same simulation the `summary` and `bench` targets
-/// center on.
+/// selected scale, the same simulation the `summary` target starts with.
 fn obs_machine(opts: Options) -> ccnuma::Machine {
     use ccnuma::experiments::{config_for, ConfigMods};
     use ccnuma::Architecture;

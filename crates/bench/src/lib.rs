@@ -6,16 +6,16 @@
 //!   (`cargo run --release -p ccn-bench --bin repro -- all`), sweeping
 //!   simulations on a worker pool (`--jobs N`) with incremental
 //!   checkpoints under `results/`;
-//! * the `repro bench` cases ([`perf`]) and the golden anchors
-//!   ([`golden`]).
+//! * the golden anchors ([`golden`]) and the `repro scenario` frontend
+//!   ([`scenario_cli`]).
 //!
-//! The library portion holds the shared CLI plumbing.
+//! The library portion holds the shared CLI plumbing. The simulator's
+//! host-time benchmark is perfbench (`perfbench/`), outside this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod golden;
-pub mod perf;
 pub mod scenario_cli;
 
 use ccn_workloads::suite::Scale;
@@ -47,7 +47,6 @@ pub const TARGETS: &[&str] = &[
     "validate",
     "verify",
     "golden",
-    "bench",
     "all",
 ];
 
@@ -63,7 +62,6 @@ pub const EXTRA_TARGETS: &[&str] = &[
     "validate",
     "verify",
     "golden",
-    "bench",
     "all",
 ];
 
@@ -120,14 +118,21 @@ pub fn options_from_flags(args: &[String]) -> Options {
 }
 
 /// Parses `--jobs N` into a worker count; defaults to the machine's
-/// available parallelism. `--jobs 1` forces a serial sweep.
-pub fn jobs_from_flags(args: &[String]) -> usize {
-    args.iter()
+/// available parallelism. `--jobs 1` forces a serial sweep (as does
+/// `--jobs 0`). A value that is not a non-negative integer is an error
+/// naming the flag.
+pub fn jobs_from_flags(args: &[String]) -> Result<usize, String> {
+    let value = args
+        .iter()
         .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(ccn_harness::default_workers)
+        .and_then(|i| args.get(i + 1));
+    match value {
+        None => Ok(ccn_harness::default_workers()),
+        Some(v) => v
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|_| format!("--jobs wants a non-negative integer, got '{v}'")),
+    }
 }
 
 /// The first `--flag` in `args` that is neither one of `value_flags`
@@ -316,9 +321,16 @@ mod tests {
 
     #[test]
     fn jobs_parsing() {
-        assert_eq!(jobs_from_flags(&s(&["--jobs", "8", "fig6"])), 8);
-        assert_eq!(jobs_from_flags(&s(&["--jobs", "0"])), 1);
-        assert!(jobs_from_flags(&s(&["fig6"])) >= 1);
+        assert_eq!(jobs_from_flags(&s(&["--jobs", "8", "fig6"])), Ok(8));
+        assert_eq!(jobs_from_flags(&s(&["--jobs", "0"])), Ok(1));
+        assert!(jobs_from_flags(&s(&["fig6"])).is_ok_and(|n| n >= 1));
+        for bad in ["x", "-2", "1.5", ""] {
+            let err = jobs_from_flags(&s(&["--jobs", bad, "table1"])).unwrap_err();
+            assert!(
+                err.starts_with("--jobs") && err.contains(bad),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

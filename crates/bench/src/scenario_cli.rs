@@ -207,7 +207,13 @@ fn cmd_run(operands: &[&str], args: &[String]) -> i32 {
         return 2;
     }
     let opts = options_from_flags(args);
-    let jobs = jobs_from_flags(args);
+    let jobs = match jobs_from_flags(args) {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
     let fresh = args.iter().any(|a| a == "--fresh");
     let metrics_dir = flag_value(args, "--metrics").map(PathBuf::from);
     let revision = git_describe();

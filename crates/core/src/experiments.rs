@@ -323,10 +323,6 @@ pub fn table6_with(runner: &Runner) -> Table6Data {
 }
 
 /// Derives one Table 6 row from a matched HWC/PPC run pair.
-pub fn table6_row(hwc: &SimReport, ppc: &SimReport) -> Table6Row {
-    table6_row_from(&RunRecord::from_report(hwc), &RunRecord::from_report(ppc))
-}
-
 fn table6_row_from(hwc: &RunRecord, ppc: &RunRecord) -> Table6Row {
     Table6Row {
         app: hwc.workload.clone(),

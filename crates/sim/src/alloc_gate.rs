@@ -1,16 +1,18 @@
 //! Measured-phase allocation gate.
 //!
-//! The zero-alloc steady-state claim is enforced, not asserted: the
-//! `repro` binary installs a counting global allocator, and this module
-//! is the rendezvous between that allocator and the machine model. A
-//! benchmark [`request`]s counting before starting a run; the machine
-//! calls [`phase_start`] when it resets statistics at the start of the
-//! measured phase and [`phase_end`] when the event loop drains, so the
-//! window covers exactly the steady-state event processing — warm-up,
-//! report assembly and artifact writing stay outside it.
+//! The zero-alloc steady-state claim is enforced, not asserted: perfbench
+//! (`perfbench/src/sim.rs`, its `core.steady_allocs` metric) and the
+//! `flight_alloc` integration test each install a counting global
+//! allocator, and this module is the rendezvous between that allocator
+//! and the machine model. A run [`request`]s counting before it starts;
+//! the machine calls [`phase_start`] when it resets statistics at the
+//! start of the measured phase and [`phase_end`] when the event loop
+//! drains, so the window covers exactly the steady-state event
+//! processing — warm-up, report assembly and artifact writing stay
+//! outside it.
 //!
-//! Everything is `Relaxed` atomics: the gate observes a single-threaded
-//! benchmark loop, and the counters are diagnostics, not synchronization.
+//! Everything is `Relaxed` atomics: the gate observes one simulation at a
+//! time, and the counters are diagnostics, not synchronization.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
@@ -32,8 +34,8 @@ pub fn request() {
 }
 
 /// The measured phase began. Starts counting if a run [`request`]ed it;
-/// otherwise a no-op, so simulations outside the gated benchmark never
-/// pay for or reset the gate.
+/// otherwise a no-op, so simulations outside a gated run never pay for
+/// or reset the gate.
 pub fn phase_start() {
     if REQUESTED.swap(false, Relaxed) {
         ALLOCS.store(0, Relaxed);
@@ -57,9 +59,9 @@ pub fn note(bytes: usize) {
     }
 }
 
-/// Whether the gate is currently counting. Lets the benchmark's
-/// allocator offer extra diagnostics (e.g. backtraces) only while the
-/// measured phase is live.
+/// Whether the gate is currently counting. Lets a counting allocator
+/// offer extra diagnostics (e.g. backtraces) only while the measured
+/// phase is live.
 #[inline]
 pub fn armed() -> bool {
     ARMED.load(Relaxed)

@@ -79,15 +79,16 @@
 //! simulated job; `--blame` additionally records each run's transaction
 //! flight and stamps a per-component blame summary into the sidecar.
 //!
-//! An unknown `--flag`, or a `--jobs` value that is not a non-negative
-//! integer, is a usage error (exit 2).
+//! An unknown `--flag`, a value flag given last without its value, or a
+//! `--jobs` value that is not a non-negative integer, is a usage error
+//! (exit 2).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use ccn_bench::{
     artifact_path, artifact_stamp, checkpoint_path, expand_targets, git_describe, golden,
-    jobs_from_flags, options_from_flags, scale_name, sweep_name, unknown_flag, SWEEP_TARGETS,
+    jobs_from_flags, options_from_flags, scale_name, sweep_name, usage_error, SWEEP_TARGETS,
     TARGETS,
 };
 use ccn_harness::{Json, SweepSummary};
@@ -101,8 +102,8 @@ fn main() {
     if positional_targets(&args).first() == Some(&"scenario") {
         std::process::exit(ccn_bench::scenario_cli::run(&args));
     }
-    if let Some(flag) = unknown_flag(&args, VALUE_FLAGS, SWITCHES) {
-        eprintln!("unknown flag '{flag}'");
+    if let Some(error) = usage_error(&args, VALUE_FLAGS, SWITCHES) {
+        eprintln!("{error}");
         std::process::exit(2);
     }
     let opts = options_from_flags(&args);
@@ -155,11 +156,15 @@ fn main() {
     }
 }
 
-/// Extracts the value following a `--flag`.
+/// Extracts the value following a `--flag`, exiting with a usage error
+/// when the flag is given last, without its value.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+    ccn_bench::flag_value(args, flag)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+        .map(str::to_string)
 }
 
 /// Flags that take a value; their values are not targets.
@@ -212,7 +217,8 @@ fn positional_targets(args: &[String]) -> Vec<&str> {
     targets
 }
 
-/// Parses a numeric `--flag N`, exiting with a usage error on garbage.
+/// Parses a numeric `--flag N`, exiting with a usage error on garbage
+/// or a missing value.
 fn uint_flag(args: &[String], flag: &str, default: u64) -> u64 {
     match flag_value(args, flag) {
         None => default,

@@ -117,16 +117,25 @@ pub fn options_from_flags(args: &[String]) -> Options {
     }
 }
 
+/// The value given for a value flag: `None` when `flag` is absent, and
+/// an error naming it when it is the last argument, with no value after
+/// it.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{flag} needs a value")),
+    }
+}
+
 /// Parses `--jobs N` into a worker count; defaults to the machine's
 /// available parallelism. `--jobs 1` forces a serial sweep (as does
-/// `--jobs 0`). A value that is not a non-negative integer is an error
-/// naming the flag.
+/// `--jobs 0`). A missing value, or one that is not a non-negative
+/// integer, is an error naming the flag.
 pub fn jobs_from_flags(args: &[String]) -> Result<usize, String> {
-    let value = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1));
-    match value {
+    match flag_value(args, "--jobs")? {
         None => Ok(ccn_harness::default_workers()),
         Some(v) => v
             .parse::<usize>()
@@ -135,25 +144,22 @@ pub fn jobs_from_flags(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// The first `--flag` in `args` that is neither one of `value_flags`
-/// (whose values are skipped) nor one of `switches`.
-pub fn unknown_flag<'a>(
-    args: &'a [String],
-    value_flags: &[&str],
-    switches: &[&str],
-) -> Option<&'a str> {
-    let mut skip_value = false;
+/// The first usage error in `args`: a `--flag` that is neither one of
+/// `value_flags` (whose values are skipped) nor one of `switches`, or a
+/// value flag given last, without its value.
+pub fn usage_error(args: &[String], value_flags: &[&str], switches: &[&str]) -> Option<String> {
+    let mut awaiting_value = None;
     for a in args {
-        if std::mem::take(&mut skip_value) {
+        if awaiting_value.take().is_some() {
             continue;
         }
         if value_flags.contains(&a.as_str()) {
-            skip_value = true;
+            awaiting_value = Some(a);
         } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
-            return Some(a);
+            return Some(format!("unknown flag '{a}'"));
         }
     }
-    None
+    awaiting_value.map(|flag| format!("{flag} needs a value"))
 }
 
 /// Human-readable description of the scale in use.
@@ -303,19 +309,18 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_found_and_values_skipped() {
+    fn usage_errors_name_unknown_flags_and_missing_values() {
         let (values, switches) = (&["--out"][..], &["--quick"][..]);
+        let error = |args: &[&str]| usage_error(&s(args), values, switches);
+        assert_eq!(error(&["--quick", "fig6"]), None);
+        assert_eq!(error(&["--out", "--x", "fig6"]), None);
         assert_eq!(
-            unknown_flag(&s(&["--quick", "fig6"]), values, switches),
-            None
+            error(&["fig6", "--bogus", "2"]),
+            Some("unknown flag '--bogus'".to_string())
         );
         assert_eq!(
-            unknown_flag(&s(&["--out", "--x", "fig6"]), values, switches),
-            None
-        );
-        assert_eq!(
-            unknown_flag(&s(&["fig6", "--bogus", "2"]), values, switches),
-            Some("--bogus")
+            error(&["--quick", "fig6", "--out"]),
+            Some("--out needs a value".to_string())
         );
     }
 
@@ -331,6 +336,24 @@ mod tests {
                 "{bad}: {err}"
             );
         }
+        for missing in [&["table1", "--jobs"][..], &["--quick", "--jobs"]] {
+            assert_eq!(
+                jobs_from_flags(&s(missing)),
+                Err("--jobs needs a value".to_string()),
+                "{missing:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_value_flag_given_last_is_an_error_naming_it() {
+        let args = s(&["--quick", "run", "--arch", "hwc", "--nodes"]);
+        assert_eq!(flag_value(&args, "--arch"), Ok(Some("hwc")));
+        assert_eq!(flag_value(&args, "--out"), Ok(None));
+        assert_eq!(
+            flag_value(&args, "--nodes"),
+            Err("--nodes needs a value".to_string())
+        );
     }
 
     #[test]

@@ -46,8 +46,8 @@ const SWITCHES: &[&str] = &["--quick", "--paper", "--fresh", "--check"];
 /// Entry point: parses `args` (the full argument list, starting at the
 /// `scenario` keyword) and returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    if let Some(flag) = crate::unknown_flag(args, VALUE_FLAGS, SWITCHES) {
-        eprintln!("unknown flag '{flag}'");
+    if let Some(error) = crate::usage_error(args, VALUE_FLAGS, SWITCHES) {
+        eprintln!("{error}");
         return 2;
     }
     let positionals = positionals(args);
@@ -95,10 +95,10 @@ fn positionals(args: &[String]) -> Vec<&str> {
     out
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value of a value flag; [`run`] has already rejected one given
+/// without its value.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    crate::flag_value(args, flag).ok().flatten()
 }
 
 /// The directory the example specs live in.
@@ -385,7 +385,7 @@ fn cmd_replay(operands: &[&str], args: &[String]) -> i32 {
         None => Architecture::Hwc,
         Some(name) => match Architecture::all()
             .into_iter()
-            .find(|a| a.name().eq_ignore_ascii_case(&name))
+            .find(|a| a.name().eq_ignore_ascii_case(name))
         {
             Some(a) => a,
             None => {

@@ -126,8 +126,10 @@ impl PageMap {
 /// placement. Translates byte addresses to lines, pages and home nodes.
 #[derive(Debug, Clone)]
 pub struct AddressMap {
-    line_bytes: u64,
-    page_bytes: u64,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the page size.
+    page_shift: u32,
     pages: PageMap,
 }
 
@@ -149,35 +151,35 @@ impl AddressMap {
         );
         assert!(line_bytes <= page_bytes, "a line cannot span pages");
         AddressMap {
-            line_bytes,
-            page_bytes,
+            line_shift: line_bytes.trailing_zeros(),
+            page_shift: page_bytes.trailing_zeros(),
             pages,
         }
     }
 
     /// Cache line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
+        1 << self.page_shift
     }
 
     /// The line containing byte address `addr`.
     pub fn line_of(&self, addr: u64) -> LineAddr {
-        LineAddr(addr / self.line_bytes)
+        LineAddr(addr >> self.line_shift)
     }
 
     /// The page containing byte address `addr`.
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.page_bytes
+        addr >> self.page_shift
     }
 
     /// The page containing `line`.
     pub fn page_of_line(&self, line: LineAddr) -> u64 {
-        line.0 * self.line_bytes / self.page_bytes
+        line.0 >> (self.page_shift - self.line_shift)
     }
 
     /// The home node of the page containing `line`.
@@ -220,6 +222,10 @@ mod tests {
         assert_eq!(map.page_of(4095), 0);
         assert_eq!(map.page_of(4096), 1);
         assert_eq!(map.page_of_line(LineAddr(32)), 1);
+        assert_eq!((map.line_bytes(), map.page_bytes()), (128, 4096));
+        for addr in [0, 4095, 4096, 1 << 40, u64::MAX] {
+            assert_eq!(map.page_of_line(map.line_of(addr)), map.page_of(addr));
+        }
     }
 
     #[test]

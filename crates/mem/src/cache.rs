@@ -1,15 +1,18 @@
 //! Set-associative LRU cache with MESI line states.
 //!
-//! The tag store keeps each set's ways together as one block in a single
-//! `Vec`, found through a per-set block index; a probe compares the tags
-//! of one block's ways (at most the associativity, typically 4) directly
-//! in that array. A set's block is written the first time the set is
-//! filled and appended in first-fill order inside a store reserved for
-//! every set up front, so an untouched set costs neither a write nor a
-//! page, and nothing reallocates during a run. There are no side maps:
-//! residency is the tag match itself and the eviction pin is a bit in the
-//! way, so the probe and fill paths — the hottest in the whole simulator
-//! — allocate nothing and touch one cache-resident run of memory.
+//! The tag store is struct-of-arrays, like `LineTable`: one tag word per
+//! way (the tag, the eviction pin and the MESI state packed together),
+//! with the ways' LRU stamps and payloads in parallel stores. A set's
+//! ways sit together as one block, found through a per-set block index,
+//! so a probe compares the tag words of one block (at most the
+//! associativity, typically 4, adjacent words) and touches nothing else.
+//! A set's block is written the first time the set is filled and
+//! appended in first-fill order inside stores reserved for every set up
+//! front, so an untouched set costs neither a write nor a page, and
+//! nothing reallocates during a run. There are no side maps: residency
+//! is the tag match itself and the pin is a bit of the tag word, so the
+//! probe and fill paths — the hottest in the whole simulator — allocate
+//! nothing.
 
 use std::ops::Range;
 
@@ -96,25 +99,23 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    state: LineState,
-    last_use: u64,
-    /// Data payload carried for protocol checking (a write version number).
-    payload: u64,
-    /// Excluded from victim selection while an outstanding transaction
-    /// depends on the line staying resident.
-    pinned: bool,
-}
+/// A tag word's low bits: the 2-bit MESI state (`LineState` order, so 0
+/// is Invalid), then the eviction pin. The tag sits above them.
+const STATE_BITS: u64 = 0b011;
+/// Excludes the way from victim selection while an outstanding
+/// transaction depends on the line staying resident.
+const PIN: u64 = 0b100;
+const TAG_SHIFT: u32 = 3;
 
-const EMPTY_WAY: Way = Way {
-    tag: 0,
-    state: LineState::Invalid,
-    last_use: 0,
-    payload: 0,
-    pinned: false,
-};
+/// The state held in a tag word.
+fn state_of_word(word: u64) -> LineState {
+    match word & STATE_BITS {
+        0 => LineState::Invalid,
+        1 => LineState::Shared,
+        2 => LineState::Exclusive,
+        _ => LineState::Modified,
+    }
+}
 
 /// Block start of a set that has never been filled. Its block range
 /// starts past the end of any way store, so a probe of it finds nothing.
@@ -154,12 +155,19 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_bits: u32,
     ways_per_set: usize,
-    /// Per set: the index in `ways` of its block's first way, or
+    /// Per set: the index in the way stores of its block's first way, or
     /// `UNFILLED`.
     blocks: Vec<u32>,
-    /// One block of `ways_per_set` ways per filled set, in first-fill
-    /// order. `new` reserves room for every set, so it never reallocates.
-    ways: Vec<Way>,
+    /// One word per way: the tag above `TAG_SHIFT`, then `PIN` and the
+    /// state bits. One block of `ways_per_set` words per filled set, in
+    /// first-fill order; `new` reserves room for every set, so it never
+    /// reallocates.
+    tags: Vec<u64>,
+    /// Each way's last-use tick, parallel to `tags`.
+    stamps: Vec<u64>,
+    /// Each way's data payload (a write version number), parallel to
+    /// `tags`.
+    payloads: Vec<u64>,
     tick: u64,
     /// Number of non-Invalid ways, maintained incrementally.
     resident: usize,
@@ -178,13 +186,16 @@ impl SetAssocCache {
             sets * geometry.ways as u64 <= UNFILLED as u64,
             "too many ways to index"
         );
+        let ways = sets as usize * ways_per_set;
         SetAssocCache {
             geometry,
             set_mask: sets - 1,
             set_bits: (sets - 1).count_ones(),
             ways_per_set,
             blocks: vec![UNFILLED; sets as usize],
-            ways: Vec::with_capacity(sets as usize * ways_per_set),
+            tags: Vec::with_capacity(ways),
+            stamps: Vec::with_capacity(ways),
+            payloads: Vec::with_capacity(ways),
             tick: 0,
             resident: 0,
         }
@@ -199,24 +210,24 @@ impl SetAssocCache {
         (line.0 & self.set_mask) as usize
     }
 
-    /// The range of `ways` that holds `set`'s block. An unfilled set's
-    /// range lies past the end of the store.
+    /// The range of the way stores that holds `set`'s block. An unfilled
+    /// set's range lies past their end.
     fn block(&self, set: usize) -> Range<usize> {
         let base = self.blocks[set] as usize;
         base..base + self.ways_per_set
     }
 
-    /// Index of the way holding `line`, found by comparing the tags of
-    /// its set's ways (a handful of adjacent words — no hashing).
+    /// Index of the way holding `line`, found by comparing the tag words
+    /// of its set's block (a handful of adjacent words — no hashing).
     #[inline]
     fn slot(&self, line: LineAddr) -> Option<usize> {
         let tag = line.0 >> self.set_bits;
         let block = self.block(self.set_of(line));
         let base = block.start;
-        self.ways
+        self.tags
             .get(block)?
             .iter()
-            .position(|w| w.state != LineState::Invalid && w.tag == tag)
+            .position(|&w| w & STATE_BITS != 0 && w >> TAG_SHIFT == tag)
             .map(|i| base + i)
     }
 
@@ -224,12 +235,12 @@ impl SetAssocCache {
     /// LRU — this is the *snoop* path.
     pub fn state_of(&self, line: LineAddr) -> LineState {
         self.slot(line)
-            .map_or(LineState::Invalid, |i| self.ways[i].state)
+            .map_or(LineState::Invalid, |i| state_of_word(self.tags[i]))
     }
 
     /// The data payload of `line`, if resident.
     pub fn payload_of(&self, line: LineAddr) -> Option<u64> {
-        self.slot(line).map(|i| self.ways[i].payload)
+        self.slot(line).map(|i| self.payloads[i])
     }
 
     /// Performs a processor access: refreshes the line's LRU position on a
@@ -241,13 +252,13 @@ impl SetAssocCache {
         let Some(i) = self.slot(line) else {
             return LineState::Invalid;
         };
-        let state = self.ways[i].state;
+        let state = state_of_word(self.tags[i]);
         let hit = match kind {
             AccessKind::Read => state.readable(),
             AccessKind::Write => state.writable(),
         };
         if hit {
-            self.ways[i].last_use = self.tick;
+            self.stamps[i] = self.tick;
         }
         state
     }
@@ -257,31 +268,41 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the line is already resident (fills must pair with misses).
+    /// Panics if the line is already resident (fills must pair with
+    /// misses), or if its tag does not fit a tag word (a line number at
+    /// or above 2^61 times the set count).
     pub fn fill(&mut self, line: LineAddr, state: LineState, payload: u64) -> Option<Eviction> {
         assert!(
             self.slot(line).is_none(),
             "fill of already-resident line {line}"
         );
         assert!(state != LineState::Invalid, "cannot fill an Invalid line");
+        let tag = line.0 >> self.set_bits;
+        assert!(
+            tag >> (u64::BITS - TAG_SHIFT) == 0,
+            "line {line} is too wide to tag"
+        );
         self.tick += 1;
         let set = self.set_of(line);
         if self.blocks[set] == UNFILLED {
-            // The set's first fill: append its block to the store.
-            self.blocks[set] = self.ways.len() as u32;
-            self.ways
-                .resize(self.ways.len() + self.ways_per_set, EMPTY_WAY);
+            // The set's first fill: append its block to the stores.
+            let end = self.tags.len() + self.ways_per_set;
+            self.blocks[set] = self.tags.len() as u32;
+            self.tags.resize(end, 0);
+            self.stamps.resize(end, 0);
+            self.payloads.resize(end, 0);
         }
         // Prefer an invalid way; otherwise evict true-LRU among unpinned.
         let mut victim = usize::MAX;
         let mut best = u64::MAX;
         for i in self.block(set) {
-            if self.ways[i].state == LineState::Invalid {
+            let word = self.tags[i];
+            if word & STATE_BITS == 0 {
                 victim = i;
                 break;
             }
-            if self.ways[i].last_use < best && !self.ways[i].pinned {
-                best = self.ways[i].last_use;
+            if self.stamps[i] < best && word & PIN == 0 {
+                best = self.stamps[i];
                 victim = i;
             }
         }
@@ -289,24 +310,20 @@ impl SetAssocCache {
             victim != usize::MAX,
             "every way of the set is pinned; cannot fill {line}"
         );
-        let evicted = if self.ways[victim].state != LineState::Invalid {
-            let old = self.ways[victim];
+        let old = self.tags[victim];
+        let evicted = if old & STATE_BITS != 0 {
             self.resident -= 1;
             Some(Eviction {
-                line: self.line_in_set(set, old.tag),
-                state: old.state,
-                payload: old.payload,
+                line: self.line_in_set(set, old >> TAG_SHIFT),
+                state: state_of_word(old),
+                payload: self.payloads[victim],
             })
         } else {
             None
         };
-        self.ways[victim] = Way {
-            tag: line.0 >> self.set_bits,
-            state,
-            last_use: self.tick,
-            payload,
-            pinned: false,
-        };
+        self.tags[victim] = tag << TAG_SHIFT | state as u64;
+        self.stamps[victim] = self.tick;
+        self.payloads[victim] = payload;
         self.resident += 1;
         evicted
     }
@@ -326,11 +343,10 @@ impl SetAssocCache {
             .slot(line)
             .unwrap_or_else(|| panic!("set_state on non-resident line {line}"));
         if state == LineState::Invalid {
-            self.ways[i].state = LineState::Invalid;
-            self.ways[i].pinned = false;
+            self.tags[i] &= !(PIN | STATE_BITS);
             self.resident -= 1;
         } else {
-            self.ways[i].state = state;
+            self.tags[i] = self.tags[i] & !STATE_BITS | state as u64;
         }
     }
 
@@ -339,11 +355,10 @@ impl SetAssocCache {
     /// dropped earlier).
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(LineState, u64)> {
         let i = self.slot(line)?;
-        let old = self.ways[i];
-        self.ways[i].state = LineState::Invalid;
-        self.ways[i].pinned = false;
+        let state = state_of_word(self.tags[i]);
+        self.tags[i] &= !(PIN | STATE_BITS);
         self.resident -= 1;
-        Some((old.state, old.payload))
+        Some((state, self.payloads[i]))
     }
 
     /// Updates the payload of a resident line (a completed store).
@@ -355,7 +370,7 @@ impl SetAssocCache {
         let i = self
             .slot(line)
             .unwrap_or_else(|| panic!("set_payload on non-resident line {line}"));
-        self.ways[i].payload = payload;
+        self.payloads[i] = payload;
     }
 
     /// Pins a resident line against eviction (an outstanding transaction
@@ -364,14 +379,14 @@ impl SetAssocCache {
         let i = self.slot(line);
         debug_assert!(i.is_some(), "pin of non-resident {line}");
         if let Some(i) = i {
-            self.ways[i].pinned = true;
+            self.tags[i] |= PIN;
         }
     }
 
     /// Releases a pin. Idempotent (a no-op on non-resident lines).
     pub fn unpin(&mut self, line: LineAddr) {
         if let Some(i) = self.slot(line) {
-            self.ways[i].pinned = false;
+            self.tags[i] &= !PIN;
         }
     }
 
@@ -379,12 +394,21 @@ impl SetAssocCache {
     /// ascending set order.
     pub fn iter_resident(&self) -> impl Iterator<Item = (LineAddr, LineState, u64)> + '_ {
         (0..self.blocks.len()).flat_map(move |set| {
-            self.ways
-                .get(self.block(set))
+            let block = self.block(set);
+            let base = block.start;
+            self.tags
+                .get(block)
                 .unwrap_or_default()
                 .iter()
-                .filter(|w| w.state != LineState::Invalid)
-                .map(move |w| (self.line_in_set(set, w.tag), w.state, w.payload))
+                .enumerate()
+                .filter(|&(_, &w)| w & STATE_BITS != 0)
+                .map(move |(i, &w)| {
+                    (
+                        self.line_in_set(set, w >> TAG_SHIFT),
+                        state_of_word(w),
+                        self.payloads[base + i],
+                    )
+                })
         })
     }
 
@@ -518,35 +542,77 @@ mod tests {
         assert_eq!(c.resident_lines(), 2);
     }
 
+    /// The three way stores, for checks of their reservations.
+    fn stores(c: &SetAssocCache) -> [&Vec<u64>; 3] {
+        [&c.tags, &c.stamps, &c.payloads]
+    }
+
     #[test]
     fn new_cache_holds_no_block() {
         let geometry = CacheGeometry::l2(128);
         let c = SetAssocCache::new(geometry);
-        assert!(c.ways.is_empty(), "no way is written before a fill");
-        assert_eq!(
-            c.ways.capacity(),
-            2048 * 4,
-            "room is reserved for every set"
-        );
+        for store in stores(&c) {
+            assert!(store.is_empty(), "no way is written before a fill");
+            assert_eq!(store.capacity(), 2048 * 4, "room is reserved for every set");
+        }
         assert!(c.blocks.iter().all(|&b| b == UNFILLED));
         assert_eq!(c.iter_resident().count(), 0);
         assert_eq!(c.state_of(LineAddr(0)), LineState::Invalid);
     }
 
     #[test]
-    fn filling_every_set_never_moves_the_way_store() {
+    fn filling_every_set_never_moves_the_way_stores() {
         let geometry = CacheGeometry::l2(128);
         let sets = geometry.sets();
         let mut c = SetAssocCache::new(geometry);
-        let (ptr, capacity) = (c.ways.as_ptr(), c.ways.capacity());
+        let reserved = stores(&c).map(|s| (s.as_ptr(), s.capacity()));
         // Five lines per set: every set is filled, then each evicts once.
         for line in 0..5 * sets {
             c.fill(LineAddr(line), LineState::Shared, line);
-            assert_eq!(c.ways.as_ptr(), ptr, "the store moved at line {line}");
-            assert_eq!(c.ways.capacity(), capacity, "the store grew at line {line}");
+            assert_eq!(
+                stores(&c).map(|s| (s.as_ptr(), s.capacity())),
+                reserved,
+                "a store moved or grew at line {line}"
+            );
         }
-        assert_eq!(c.ways.len(), capacity, "every set holds a block");
+        for store in stores(&c) {
+            assert_eq!(store.len(), store.capacity(), "every set holds a block");
+        }
         assert_eq!(c.resident_lines(), 4 * sets as usize);
+    }
+
+    #[test]
+    fn tag_words_pack_wide_tags_beside_pin_and_state() {
+        let mut c = small();
+        // Tags at the top of the 61 bits a tag word holds.
+        let widest = (1u64 << 61) - 1;
+        let a = LineAddr(widest << 2 | 1);
+        let b = LineAddr((widest - 1) << 2 | 1);
+        c.fill(a, LineState::Modified, 5);
+        c.pin(a);
+        c.fill(b, LineState::Shared, 6);
+        assert_eq!(c.state_of(a), LineState::Modified);
+        assert_eq!(c.state_of(b), LineState::Shared);
+        assert_eq!(c.state_of(LineAddr(1)), LineState::Invalid);
+        // The pinned line is the LRU one, so the fill evicts `b`.
+        let ev = c
+            .fill(LineAddr(5), LineState::Exclusive, 7)
+            .expect("evicts");
+        assert_eq!((ev.line, ev.state, ev.payload), (b, LineState::Shared, 6));
+        c.set_state(a, LineState::Exclusive);
+        assert_eq!(
+            c.state_of(a),
+            LineState::Exclusive,
+            "the pin survives a state change"
+        );
+        let ev = c.fill(LineAddr(9), LineState::Shared, 8).expect("evicts");
+        assert_eq!(ev.line, LineAddr(5), "the pinned line is still skipped");
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide to tag")]
+    fn fill_rejects_a_tag_past_the_tag_word() {
+        let _ = small().fill(LineAddr(1 << 63), LineState::Shared, 0);
     }
 
     #[test]

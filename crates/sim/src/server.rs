@@ -1,6 +1,5 @@
 //! FIFO reservation servers for bandwidth resources.
 
-use crate::stats::Histogram;
 use crate::{ComponentStats, Cycle};
 
 /// A FIFO *reservation server*: the timing model for a pipelined bandwidth
@@ -10,9 +9,9 @@ use crate::{ComponentStats, Cycle};
 /// A client requests the resource at time `t` for `d` cycles with
 /// [`acquire`](Server::acquire) and receives the *grant time*
 /// `max(t, next_free)`; the server becomes free again at `grant + d`.
-/// Queueing delay (`grant - t`) and busy time are recorded so that the
-/// simulator can report utilizations and average queueing delays the way
-/// Tables 6 and 7 of the paper do.
+/// The number of grants, their summed queueing delay (`grant - t`) and
+/// busy time are kept so that the simulator can report utilizations and
+/// average queueing delays the way Tables 6 and 7 of the paper do.
 ///
 /// Because grants are handed out in call order, the model is exact for a
 /// FIFO resource as long as calls are made in non-decreasing request-time
@@ -35,7 +34,9 @@ pub struct Server {
     name: &'static str,
     next_free: Cycle,
     busy: Cycle,
-    queue_delay_hist: Histogram,
+    requests: u64,
+    /// Exact sum of every grant's queueing delay.
+    queue_delay_sum: u128,
 }
 
 impl Server {
@@ -46,7 +47,8 @@ impl Server {
             name,
             next_free: 0,
             busy: 0,
-            queue_delay_hist: Histogram::new(),
+            requests: 0,
+            queue_delay_sum: 0,
         }
     }
 
@@ -56,7 +58,8 @@ impl Server {
         let grant = self.next_free.max(time);
         self.next_free = grant + duration;
         self.busy += duration;
-        self.queue_delay_hist.record(grant - time);
+        self.requests += 1;
+        self.queue_delay_sum += u128::from(grant - time);
         grant
     }
 
@@ -78,19 +81,16 @@ impl Server {
 
     /// Number of acquisitions served.
     pub fn requests(&self) -> u64 {
-        self.queue_delay_hist.count()
+        self.requests
     }
 
     /// Mean queueing delay in cycles over all acquisitions (0 if none).
     pub fn mean_queue_delay(&self) -> f64 {
-        self.queue_delay_hist.mean()
-    }
-
-    /// The full queueing-delay distribution (log2 buckets, cycles) —
-    /// Table 6 reports means, but the distribution tail is what separates
-    /// contention policies.
-    pub fn queue_delay_histogram(&self) -> &Histogram {
-        &self.queue_delay_hist
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.queue_delay_sum as f64 / self.requests as f64
+        }
     }
 
     /// The diagnostic name given at construction.
@@ -106,14 +106,15 @@ impl Server {
             .gauge("mean_queue_delay", self.mean_queue_delay())
     }
 
-    /// Resets statistics (busy time and queue-delay records) without
-    /// forgetting the current reservation horizon.
+    /// Resets statistics (busy time, request count and queue-delay sum)
+    /// without forgetting the current reservation horizon.
     ///
     /// Used when the measured interval starts after warm-up (the paper
     /// reports the parallel phase only).
     pub fn reset_stats(&mut self) {
         self.busy = 0;
-        self.queue_delay_hist = Histogram::new();
+        self.requests = 0;
+        self.queue_delay_sum = 0;
     }
 }
 
@@ -154,7 +155,7 @@ mod tests {
         s.reset_stats();
         assert_eq!(s.busy_cycles(), 0);
         assert_eq!(s.requests(), 0);
-        assert_eq!(s.queue_delay_histogram().count(), 0);
+        assert_eq!(s.mean_queue_delay(), 0.0);
         // still reserved until 100
         assert_eq!(s.acquire(0, 1), 100);
     }
@@ -174,15 +175,15 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_histogram_tracks_acquisitions() {
+    fn mean_queue_delay_is_exact_past_float_precision() {
         let mut s = Server::new("t");
-        s.acquire(0, 10); // delay 0
-        s.acquire(0, 10); // delay 10
-        s.acquire(0, 10); // delay 20
-        let h = s.queue_delay_histogram();
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(20));
-        assert_eq!(h.mean(), s.mean_queue_delay());
+        // Delays 0, 2^53 + 1 and 1: an f64 running total would round the
+        // second to 2^53 and lose the third.
+        let big = (1u64 << 53) + 1;
+        s.acquire(0, big);
+        s.acquire(0, 1); // delay 2^53 + 1
+        s.acquire(big, 1); // delay 1
+        assert_eq!(s.requests(), 3);
+        assert_eq!(s.mean_queue_delay(), ((1u128 << 53) + 2) as f64 / 3.0);
     }
 }

@@ -33,6 +33,8 @@ pub mod segment;
 pub mod space;
 pub mod suite;
 
+use ccn_sim::FxHashSet;
+
 pub use segment::{Access, Op, Segment, SegmentProgram};
 pub use space::AddressSpace;
 
@@ -77,8 +79,20 @@ impl AppBuild {
     /// `line_bytes` lines. Machines pre-size their functional state
     /// tables (memory images, version stamps) with this so that
     /// steady-state execution never grows them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `line_bytes` is a power of two.
     pub fn footprint_lines(&self, line_bytes: u64) -> usize {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let shift = line_bytes.trailing_zeros();
+        // Processors repeat each other's ranges (Ocean at the repro scale
+        // on 16x4: 15,008 distinct of 335,872), so only the distinct ones
+        // are sorted and merged.
+        let mut distinct: FxHashSet<(u64, u64)> = FxHashSet::default();
         for prog in &self.programs {
             for seg in prog {
                 let (base, bytes) = match *seg {
@@ -88,9 +102,10 @@ impl AppBuild {
                     Segment::Touch { addr, .. } => (addr, 1),
                     _ => continue,
                 };
-                ranges.push((base / line_bytes, (base + bytes - 1) / line_bytes + 1));
+                distinct.insert((base >> shift, ((base + bytes - 1) >> shift) + 1));
             }
         }
+        let mut ranges: Vec<(u64, u64)> = distinct.into_iter().collect();
         ranges.sort_unstable();
         let mut lines = 0;
         let mut current: Option<(u64, u64)> = None;
